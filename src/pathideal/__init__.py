@@ -3,6 +3,7 @@
 from .betti import (
     BettiTable,
     betti_hochster,
+    betti_interval,
     betti_table,
     betti_taylor_tor,
     depth_of,

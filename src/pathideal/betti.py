@@ -1,27 +1,32 @@
-"""Graded Betti tables of squarefree monomial ideals by two independent routes.
+"""Graded Betti tables of squarefree monomial ideals by three routes.
 
-Both routes produce the table of the ideal (not of the quotient ring):
+All routes produce the table of the ideal (not of the quotient ring):
 
 * the combinatorial route sums reduced homology of induced subcomplexes of
   the associated simplicial complex, one subcomplex per vertex subset W,
   contributing to column ``j = |W|`` in homological degree ``i = j - d - 2``;
 * the algebraic route tensors the resolution indexed by generator subsets
   with the residue field, keeping only subset differentials that do not
-  change the lcm, and reads the table off strand-by-strand homology.
+  change the lcm, and reads the table off strand-by-strand homology;
+* the interval route, for ideals whose generators are intervals of
+  consecutive variables (the path family among them), splits off the last
+  interval and recurses on integer tables; it uses no linear algebra.
 
-Agreement of the two on a shared instance is the core anti-bug check of
-the package; nothing in their inner loops is shared beyond the exact rank
-primitives.
+The first two are exponential and independent of each other: their
+agreement on a shared instance is the core anti-bug check of the package,
+and nothing in their inner loops is shared beyond the exact rank
+primitives.  The interval route is polynomial and is always checked
+against them, never used as an oracle for itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
-from .caps import HOCHSTER_CAP_N, TAYLOR_CAP_K, CapExceeded
+from .caps import HOCHSTER_CAP_N, INT64_MASK_N, TAYLOR_CAP_K, CapExceeded
 from .complexes import ChainComplex, SimplicialComplex, homology_dims_of_faces
 from .fields import GF2, FieldSpec, rank_sparse
 from .monomials import MonomialIdeal
@@ -126,11 +131,16 @@ def _face_masks(n: int, gen_masks: Iterable[int]) -> np.ndarray:
     return masks[is_face]
 
 
+def _require_face_masks_fit(n: int, cap: int) -> None:
+    """Refuse ambient sizes beyond ``cap`` or beyond what int64 face masks hold."""
+    if n > min(cap, INT64_MASK_N):
+        raise CapExceeded(f"n={n} exceeds cap {min(cap, INT64_MASK_N)}")
+
+
 def stanley_reisner_complex(ideal: MonomialIdeal, cap: int = HOCHSTER_CAP_N) -> SimplicialComplex:
     """The complex whose faces are the variable subsets containing no generator."""
     _require_proper_nonzero(ideal)
-    if ideal.n > cap:
-        raise CapExceeded(f"n={ideal.n} exceeds cap {cap}")
+    _require_face_masks_fit(ideal.n, cap)
     faces = set(int(f) for f in _face_masks(ideal.n, ideal.gen_masks()))
     # f is a facet iff adding any missing vertex leaves the complex
     facets = []
@@ -158,7 +168,10 @@ def _union_closure(gen_masks: Iterable[int]) -> list[int]:
 def _check_degree_row(ideal: MonomialIdeal, table: BettiTable) -> None:
     hist = ideal.degree_histogram()
     row = {j: b for (i, j), b in table.entries.items() if i == 0}
-    assert row == hist, f"column 0 of the table {row} does not match generator degrees {hist}"
+    if row != hist:
+        raise RuntimeError(
+            f"column 0 of the table {row} does not match generator degrees {hist}"
+        )
 
 
 def betti_hochster(
@@ -175,8 +188,7 @@ def betti_hochster(
     """
     _require_proper_nonzero(ideal)
     n = ideal.n
-    if n > cap:
-        raise CapExceeded(f"n={n} exceeds cap {cap}")
+    _require_face_masks_fit(n, cap)
     gen_masks = ideal.gen_masks()
     all_faces = _face_masks(n, gen_masks)
     if prune_cones:
@@ -267,6 +279,131 @@ def betti_taylor_tor(
     return table
 
 
+Interval = tuple[int, int]
+
+
+def _intervals(ideal: MonomialIdeal) -> Optional[tuple[Interval, ...]]:
+    """The generators as (start, end) index intervals sorted by start, or
+    None when some generator is not a run of consecutive variables."""
+    out = []
+    for g in ideal.gen_masks():
+        low = g & -g
+        if not g or g & (g + low):
+            return None
+        start = low.bit_length()
+        out.append((start, start + g.bit_count() - 1))
+    return tuple(sorted(out))
+
+
+def _colon_by_last(rest: tuple[Interval, ...], start: int) -> tuple[Interval, ...]:
+    """Minimal generators of I' : g for g starting at ``start``, where I' is
+    generated by ``rest``, the intervals that start (and end) before g."""
+    cut = start - 1
+    if not rest or rest[-1][1] < cut:
+        return rest
+    p = len(rest) - 1
+    while p > 0 and rest[p - 1][1] >= cut:
+        p -= 1
+    return rest[:p] + ((rest[-1][0], cut),)
+
+
+class _IntervalMemo:
+    """Tables of interval ideals, keyed by their intervals translated to
+    start at 1.
+
+    One instance serves every call and every field: a table is a function
+    of its key alone, so sharing changes no result, and a sweep over k
+    reuses the tables of the shorter prefixes.  It is emptied before a call
+    once its tables hold more than ``limit`` entries in total (an entry
+    takes about 100 bytes).
+    """
+
+    def __init__(self, limit: int) -> None:
+        self.limit = limit
+        self.clear()
+
+    def clear(self) -> None:
+        self.tables: dict[tuple[Interval, ...], dict[tuple[int, int], int]] = {(): {}}
+        self.entries = 0
+
+    def table(self, key: tuple[Interval, ...]) -> dict[tuple[int, int], int]:
+        """The entries of the table of ``key`` by the splitting recursion,
+        with an explicit stack so that the depth is not bounded by k."""
+        if self.entries > self.limit:
+            self.clear()
+        tables = self.tables
+        stack = [key]
+        while stack:
+            top = stack[-1]
+            if top in tables:
+                stack.pop()
+                continue
+            rest, (start, end) = top[:-1], top[-1]
+            colon = _colon_by_last(rest, start)
+            pending = [sub for sub in (rest, colon) if sub not in tables]
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            width = end - start + 1
+            entries = dict(tables[rest])
+            entries[(0, width)] = entries.get((0, width), 0) + 1
+            for (i, j), b in tables[colon].items():
+                entries[(i + 1, j + width)] = entries.get((i + 1, j + width), 0) + b
+            tables[top] = entries
+            self.entries += len(entries)
+        return tables[key]
+
+
+_INTERVAL_MEMO = _IntervalMemo(limit=1 << 19)
+
+
+def betti_interval(ideal: MonomialIdeal) -> BettiTable:
+    """Betti table of an interval ideal by the interval splitting recursion.
+
+    An interval ideal is generated by monomials x_a x_{a+1} ... x_b.  Sort
+    its minimal generators by start, g_t = [a_t, b_t]; as they form an
+    antichain, the ends increase too.  Let g = [a_k, b_k] be the last one and
+    I' the ideal of the others.  Then
+
+        beta_{i,j}(I) = beta_{i,j}(I') + [i = 0, j = |g|]
+                        + beta_{i-1, j-|g|}(I' : g),
+
+    and I' : g is generated by the intervals [a_i, min(b_i, a_k - 1)].
+
+    Proof.  Only g is divisible by x_{b_k}, and the ideal (g) of a single
+    generator has a linear resolution, so I = (g) + I' is a Betti splitting
+    over every field (Francisco-Ha-Van Tuyl, "Splittings of monomial
+    ideals", Proc. AMS 2009, Cor. 2.7):
+    beta_{i,j}(I) = beta_{i,j}((g)) + beta_{i,j}(I') + beta_{i-1,j}((g) ∩ I').
+    The first term is the single entry (0, |g|).  For squarefree h,
+    (g) ∩ (h) = (g * (h minus g)), so (g) ∩ I' = g (I' : g), and
+    multiplication by g is an isomorphism I' : g -> g (I' : g) of degree
+    |g|, which shifts j by |g|.  As a_i < a_k and b_i < b_k, h minus g is the
+    nonempty interval [a_i, min(b_i, a_k - 1)].  Its minimal generators:
+    the intervals with b_i < a_k - 1 are unchanged and form a prefix; the
+    others all end at a_k - 1 and contain the last of them, which no
+    unchanged interval contains or is contained in.  So I' and I' : g are
+    interval ideals with fewer generators, and induction on k proves the
+    recursion.  Its base and every step are integers that do not mention
+    the field, so the table is the same over every field.  The table is
+    also unchanged when all indices are translated, which is why the memo
+    keys are intervals translated to start at 1.
+
+    The route does no linear algebra and visits O(k^2) interval tuples at
+    most, against the 2^n or 2^k subsets of the other two.
+    """
+    _require_proper_nonzero(ideal)
+    intervals = _intervals(ideal)
+    if intervals is None:
+        raise ValueError(f"{ideal} is not generated by intervals of consecutive variables")
+    shift = intervals[0][0] - 1
+    key = tuple((a - shift, b - shift) for a, b in intervals)
+    table = BettiTable(_INTERVAL_MEMO.table(key))
+    _check_degree_row(ideal, table)
+    return table
+
+
 def betti_table(
     ideal: MonomialIdeal,
     field: FieldSpec = GF2,
@@ -276,8 +413,10 @@ def betti_table(
 ) -> BettiTable:
     """Compute the Betti table by the requested method.
 
-    ``auto`` picks the route with the smaller exponential (subset count);
-    ``both`` runs the two routes and insists on exact agreement.
+    ``auto`` takes the interval route whenever every generator is an
+    interval of consecutive variables, and otherwise the exponential route
+    with the smaller subset count; ``both`` runs the two exponential routes
+    and insists on exact agreement.
     """
     _require_proper_nonzero(ideal)
     n, k = ideal.n, len(ideal.gens)
@@ -285,7 +424,11 @@ def betti_table(
         return betti_hochster(ideal, field, cap=cap_n)
     if method == "taylor":
         return betti_taylor_tor(ideal, field, cap=cap_k)
+    if method == "interval":
+        return betti_interval(ideal)
     if method == "auto":
+        if _intervals(ideal) is not None:
+            return betti_interval(ideal)
         prefer_hochster = n <= k
         if prefer_hochster and n <= cap_n:
             return betti_hochster(ideal, field, cap=cap_n)

@@ -2,7 +2,9 @@
 
 Every cap guards an enumeration whose cost is exponential in the capped
 quantity.  Exceeding a cap raises :class:`CapExceeded`; sweep drivers catch
-it and record the instance as skipped instead of hanging.
+it and record the instance as skipped instead of hanging.  The ambient size
+itself is not capped: monomials are Python-int bitmasks, and the interval
+route is polynomial.
 """
 
 HOCHSTER_CAP_N = 16
@@ -12,6 +14,9 @@ MINOR_CAP_N = 12
 SEQ_CM_CAP_N = 10
 HOMOLOGY_CAP_N = 16
 COVER_CAP_N = 16
+# The homology route enumerates faces as numpy int64 bitmasks, so it refuses
+# larger ambient sizes whatever cap the caller passes.
+INT64_MASK_N = 62
 
 
 class CapExceeded(RuntimeError):

@@ -279,21 +279,30 @@ def cmd_cert(args) -> int:
         payload["free_vertex_property"] = None
         payload["free_vertex_method"] = f"skipped: n={clutter.n} exceeds cap {args.cap_minors}"
 
-    cx = cover_complex(clutter)
-    payload["facets"] = [list(iter_bits(f)) for f in cx.facets]
     try:
-        order = find_shelling(cx, cap=args.cap_facets)
-        payload["shelling"] = (
-            [list(iter_bits(f)) for f in order] if order is not None else None
+        cx = cover_complex(clutter)
+    except CapExceeded as exc:
+        # shelling and sequential CM are checks on the cover complex
+        skipped = f"cover complex skipped: {exc}"
+        payload.update(
+            facets=None, cover_complex_skipped=str(exc),
+            shelling=None, shelling_skipped=skipped, seq_cm=None, seq_cm_skipped=skipped,
         )
-    except CapExceeded as exc:
-        payload["shelling"] = None
-        payload["shelling_skipped"] = str(exc)
-    try:
-        payload["seq_cm"] = is_sequentially_cm(cx, field, cap=args.cap_seqcm)
-    except CapExceeded as exc:
-        payload["seq_cm"] = None
-        payload["seq_cm_skipped"] = str(exc)
+    else:
+        payload["facets"] = [list(iter_bits(f)) for f in cx.facets]
+        try:
+            order = find_shelling(cx, cap=args.cap_facets)
+            payload["shelling"] = (
+                [list(iter_bits(f)) for f in order] if order is not None else None
+            )
+        except CapExceeded as exc:
+            payload["shelling"] = None
+            payload["shelling_skipped"] = str(exc)
+        try:
+            payload["seq_cm"] = is_sequentially_cm(cx, field, cap=args.cap_seqcm)
+        except CapExceeded as exc:
+            payload["seq_cm"] = None
+            payload["seq_cm_skipped"] = str(exc)
 
     if args.json:
         _emit(json.dumps(payload, sort_keys=True) + "\n", args.out)
@@ -309,7 +318,8 @@ def cmd_cert(args) -> int:
             lines.append("shelling: " + " -> ".join(str(f) for f in payload["shelling"]))
         else:
             lines.append("shelling: " + payload.get("shelling_skipped", "none found"))
-        lines.append(f"sequentially CM over {field.label}: {payload['seq_cm']}")
+        seq_cm = payload.get("seq_cm_skipped", payload["seq_cm"])
+        lines.append(f"sequentially CM over {field.label}: {seq_cm}")
         _emit("\n".join(lines) + "\n", args.out)
 
     checks = [payload["free_vertex_property"], payload["seq_cm"]]
@@ -344,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", metavar="FILE", help="write output to FILE")
     common.add_argument("--field", default="gf2", help="gf2, gf<p> or rat")
     common.add_argument("--method", default="auto",
-                        choices=["auto", "hochster", "taylor", "both"])
+                        choices=["auto", "interval", "hochster", "taylor", "both"])
     common.add_argument("--cap-n", type=int, default=HOCHSTER_CAP_N, dest="cap_n")
     common.add_argument("--cap-k", type=int, default=TAYLOR_CAP_K, dest="cap_k")
 

@@ -18,8 +18,6 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-AMBIENT_CAP = 32
-
 
 def iter_bits(mask: int) -> Iterator[int]:
     """Yield the 1-based indices of the set bits of ``mask``, ascending."""
@@ -86,8 +84,8 @@ class MonomialIdeal:
     gens: tuple[Monomial, ...]
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= AMBIENT_CAP:
-            raise ValueError(f"ambient size {self.n} outside [1, {AMBIENT_CAP}]")
+        if self.n < 1:
+            raise ValueError(f"ambient size {self.n} must be at least 1")
         for g in self.gens:
             if not g.fits(self.n):
                 raise ValueError(f"generator {g} does not fit ambient size {self.n}")

@@ -155,12 +155,19 @@ def make_full_path_ideal(m: int, n: int) -> MonomialIdeal:
     return minimalize(n, (Monomial(window << i) for i in range(n - m + 1)))
 
 
+def _require_decomposition(regime: Regime) -> None:
+    if regime.p is None or regime.d is None:
+        raise RuntimeError(
+            f"large-overlap regime without its decomposition n = p*period + d: {regime}"
+        )
+
+
 def formula_pd(params: PathParams) -> int:
     """Closed-form projective dimension of the ideal."""
     regime = classify(params)
     if regime.branch is Branch.SMALL_OVERLAP:
         return params.k - 1
-    assert regime.p is not None and regime.d is not None
+    _require_decomposition(regime)
     return 2 * regime.p - 1 if regime.d != params.m else 2 * regime.p
 
 
@@ -172,7 +179,7 @@ def formula_reg(params: PathParams) -> Optional[int]:
         return (k - 1) * (m - l - 1) + m
     if regime.branch is Branch.OFFSET_STEP:
         return None
-    assert regime.p is not None and regime.d is not None
+    _require_decomposition(regime)
     base = regime.p * (2 * m - l - 2)
     return base + 1 if regime.d != m else base + m
 

@@ -92,12 +92,8 @@ def evaluate_instance(
         "match_pd": None, "match_reg": None, "match_depth": None,
         "millis": 0, "status": "ok", "reason": "",
     }
-    from .monomials import AMBIENT_CAP
-
     started = time.perf_counter()
     try:
-        if params.n > AMBIENT_CAP:
-            raise CapExceeded(f"n={params.n} exceeds the ambient cap {AMBIENT_CAP}")
         ideal = make_path_ideal(params)
         table = betti_table(ideal, field, method, cap_n=cap_n, cap_k=cap_k)
     except CapExceeded as exc:
@@ -185,16 +181,20 @@ def open_problem_sweep(
     method: str = "auto",
     cap_n: int = HOCHSTER_CAP_N,
     cap_k: int = TAYLOR_CAP_K,
+    log=None,
 ) -> list[dict]:
     """Oracle regularity for every offset-step instance with n <= n_max.
 
     No closed regularity formula is known in this regime; alongside the
     oracle value the record carries the small-overlap formula evaluated at
     the same parameters and whether the two coincide, as observational data.
+    An instance beyond a cap is recorded with ``status`` "skipped", its
+    ``reason`` and no oracle values, and reported on ``log``.
     """
     from .fields import GF2
 
     field = field if field is not None else GF2
+    log = log if log is not None else sys.stderr
     records = []
     for m in range(2, n_max + 1):
         for l in range(1, m):
@@ -207,18 +207,28 @@ def open_problem_sweep(
                     break
                 regime = classify(params)
                 ideal = make_path_ideal(params)
-                table = betti_table(ideal, field, method, cap_n=cap_n, cap_k=cap_k)
-                inv = invariants_of(table)
                 small_overlap_value = (params.k - 1) * (m - l - 1) + m
-                records.append({
+                record = {
                     "m": m, "l": l, "k": k, "n": params.n,
                     "s": regime.s, "p": regime.p, "d": regime.d,
-                    "pd_oracle": inv.pd,
-                    "reg_oracle": inv.reg,
                     "reg_small_overlap_formula": small_overlap_value,
-                    "coincides": inv.reg == small_overlap_value,
                     "ideal": ideal_to_text(ideal),
-                })
+                }
+                try:
+                    table = betti_table(ideal, field, method, cap_n=cap_n, cap_k=cap_k)
+                except CapExceeded as exc:
+                    record.update(
+                        pd_oracle=None, reg_oracle=None, coincides=None,
+                        status="skipped", reason=str(exc),
+                    )
+                    print(f"skipped {params}: {exc}", file=log)
+                else:
+                    inv = invariants_of(table)
+                    record.update(
+                        pd_oracle=inv.pd, reg_oracle=inv.reg,
+                        coincides=inv.reg == small_overlap_value,
+                    )
+                records.append(record)
                 k += 1
     records.sort(key=lambda r: (r["m"], r["l"], r["k"]))
     return records
@@ -306,6 +316,9 @@ def open_problem_to_text(records: list[dict]) -> str:
     lines.append("-" * len(header))
     for r in records:
         params = f"m={r['m']},l={r['l']},k={r['k']}"
+        if r.get("status") == "skipped":
+            lines.append(f"{params:<16} {r['n']:>3} skipped: {r['reason']}")
+            continue
         tail = f"{r['reg_small_overlap_formula']} ({'=' if r['coincides'] else '!='})"
         lines.append(
             f"{params:<16} {r['n']:>3} {r['s']:>2} {r['p']:>2} {r['d']:>2} "

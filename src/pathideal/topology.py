@@ -186,7 +186,8 @@ def find_shelling(
     found = extend([], frozenset())
     if found is None:
         return None
-    assert is_shelling(found)
+    if not is_shelling(found):
+        raise RuntimeError(f"the search returned a non-shelling order {found}")
     return tuple(found)
 
 

@@ -97,7 +97,7 @@ def test_criterion_2_full_path_formulas():
 
 
 def test_criterion_3_oracle_cross_validation():
-    """Both Betti routes produce identical tables over GF(2) and the rationals."""
+    """All three Betti routes produce identical tables over GF(2) and the rationals."""
     instances = {
         make_path_ideal(p) for p in SWEEP_GRID if p.n <= 12 and p.k <= 10
     }
@@ -114,12 +114,15 @@ def test_criterion_3_oracle_cross_validation():
             via_homology = cached_table(ideal, field, "hochster")
             via_strands = cached_table(ideal, field, "taylor")
             assert via_homology == via_strands, (str(ideal), field.label)
+            assert cached_table(ideal, field, "interval") == via_homology, (
+                str(ideal), field.label,
+            )
             per_field[field.label] = via_homology
         if per_field["GF(2)"] != per_field["QQ"]:
             stable = False  # recorded observation, not a failure
     report(
         f"criterion 3 (route cross-validation, {len(instances)} instances, "
-        f"2 fields): PASS [tables GF(2)==QQ on family: {stable}]"
+        f"3 routes, 2 fields): PASS [tables GF(2)==QQ on family: {stable}]"
     )
 
 

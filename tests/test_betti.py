@@ -3,10 +3,13 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pathideal.betti import (
     BettiTable,
     betti_hochster,
+    betti_interval,
     betti_table,
     betti_taylor_tor,
     depth_of,
@@ -23,7 +26,12 @@ from pathideal.monomials import (
     ideal_from_text,
     minimalize,
 )
-from pathideal.pathfamily import PathParams, make_full_path_ideal, make_path_ideal
+from pathideal.pathfamily import (
+    PathParams,
+    formula_result,
+    make_full_path_ideal,
+    make_path_ideal,
+)
 
 
 def table(entries):
@@ -192,6 +200,67 @@ def test_dispatcher_and_caps():
         betti_table(ideal, GF2, "magic")
     with pytest.raises(ValueError):
         betti_table(MonomialIdeal(3, ()), GF2)
+
+
+# ---------------------------------------------------------------------------
+# the interval route
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def interval_ideals(draw, n_max=12, max_width=5):
+    """Ideals generated by intervals of 1..n, minimalized: at each start a,
+    either no interval or one of a random width up to ``max_width``."""
+    n = draw(st.integers(1, n_max))
+    widths = draw(st.lists(st.integers(0, max_width), min_size=n, max_size=n))
+    gens = [
+        Monomial.from_vars(range(a, min(n, a + w - 1) + 1))
+        for a, w in enumerate(widths, start=1)
+        if w
+    ]
+    ideal = minimalize(n, gens)
+    assume(ideal.is_proper_nonzero)
+    return ideal
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(interval_ideals())
+def test_interval_route_equals_both_exponential_routes(ideal):
+    via_intervals = betti_interval(ideal)
+    for field in (GF2, FieldSpec(3), QQ):
+        assert betti_taylor_tor(ideal, field) == via_intervals, (str(ideal), field.label)
+        assert betti_hochster(ideal, field) == via_intervals, (str(ideal), field.label)
+
+
+def test_auto_takes_interval_route_beyond_the_exponential_caps():
+    params = PathParams(3, 1, 60)  # n = 121, k = 60: both exponential routes refuse
+    ideal = make_path_ideal(params)
+    with pytest.raises(CapExceeded):
+        betti_table(ideal, GF2, "both")
+    table = betti_table(ideal, GF2, "auto")
+    assert table == betti_table(ideal, QQ, "interval")
+    formula = formula_result(params)
+    assert invariants_of(table).pd == formula.pd
+    assert invariants_of(table).reg == formula.reg
+    assert depth_of(ideal, table).depth_I == formula.depth_I
+
+
+def test_interval_route_rejects_other_ideals():
+    with pytest.raises(ValueError):
+        betti_interval(ideal_from_text("n=3; (x1*x3)"))
+    with pytest.raises(ValueError):
+        betti_table(ideal_from_text("n=3; (x1*x2, x1*x3)"), GF2, "interval")
+    # auto still serves ideals that are not interval ideals
+    triangle = ideal_from_text("n=3; (x1*x2, x2*x3, x1*x3)")
+    assert betti_table(triangle, GF2) == betti_table(triangle, GF2, "both")
+
+
+def test_hochster_refuses_ambient_beyond_int64_masks():
+    ideal = make_path_ideal(PathParams(2, 1, 62))  # n = 63
+    with pytest.raises(CapExceeded):
+        betti_hochster(ideal, GF2, cap=100)
+    with pytest.raises(CapExceeded):
+        stanley_reisner_complex(ideal, cap=100)
 
 
 def test_golden_text_format():

@@ -3,6 +3,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -58,6 +62,36 @@ def test_betti_accepts_ideal_text(capsys):
     )
     assert code == 0
     assert out == "0 2 3\n1 3 2\n"
+
+
+def test_betti_interval_method(capsys):
+    code, out, _ = run(
+        capsys, "betti", "--m", "3", "--l", "1", "--k", "2", "--golden", "--method", "interval"
+    )
+    assert code == 0
+    assert out == "0 3 2\n1 5 1\n"
+    code, _, err = run(capsys, "betti", "--ideal", "n=3; (x1*x3)", "--method", "interval")
+    assert code == 2 and "not generated by intervals" in err
+
+
+def test_betti_checks_survive_optimized_mode():
+    """Under ``python -O`` asserts vanish; the table checks must not."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    done = subprocess.run(
+        [sys.executable, "-O", "-m", "pathideal.cli", "betti", "--m", "3", "--l", "1",
+         "--k", "2", "--golden"],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert done.returncode == 0 and done.stdout == "0 3 2\n1 5 1\n"
+    broken = subprocess.run(
+        [sys.executable, "-O", "-c",
+         "from pathideal.betti import BettiTable, _check_degree_row\n"
+         "from pathideal.monomials import ideal_from_text\n"
+         "_check_degree_row(ideal_from_text('n=3; (x1*x2, x2*x3)'), BettiTable({(0, 2): 1}))"],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert broken.returncode != 0 and "RuntimeError" in broken.stderr
 
 
 def test_formula_unknown_reg(capsys):
@@ -123,6 +157,16 @@ def test_cert_command(capsys):
     assert payload["shelling"] is not None
 
 
+def test_cert_skips_checks_beyond_the_cover_cap(capsys):
+    code, out, _ = run(capsys, "cert", "--m", "3", "--l", "1", "--k", "8", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert "exceeds cap" in payload["cover_complex_skipped"]
+    assert payload["facets"] is None and payload["shelling"] is None
+    assert payload["seq_cm"] is None
+    assert "shelling_skipped" in payload and "seq_cm_skipped" in payload
+
+
 def test_cert_triangle_fails(capsys):
     code, out, _ = run(capsys, "cert", "--clutter", "n=3; {1,2},{2,3},{1,3}", "--json")
     payload = json.loads(out)
@@ -138,6 +182,17 @@ def test_open_problem_contains_spot_value(capsys):
         r for r in payload["records"] if (r["m"], r["l"], r["k"]) == (5, 3, 2)
     ]
     assert spot and spot[0]["reg_oracle"] == 6
+
+
+def test_wide_sweeps_run_without_skips(capsys):
+    code, out, _ = run(capsys, "verify", "--n-max", "40", "--m-max", "3", "--json")
+    assert code == 0
+    summary = json.loads(out)["summary"]
+    assert summary["instances"] == summary["ok"] == 96 and summary["skipped"] == 0
+    code, out, _ = run(capsys, "open-problem", "--n-max", "40", "--json")
+    assert code == 0
+    records = json.loads(out)["records"]
+    assert records and all("status" not in r for r in records)
 
 
 def test_invalid_arguments_exit_two(capsys):
@@ -219,8 +274,21 @@ def test_record_mismatch_drives_exit_code():
 def test_oversized_ambient_is_skipped_not_fatal():
     report = run_sweep(2, 2, 40, GF2, "taylor", k_fixed=39, log=io.StringIO())
     (record,) = report["records"]
-    assert record["status"] == "skipped" and "ambient" in record["reason"]
+    assert record["status"] == "skipped" and "k=39 exceeds cap" in record["reason"]
     assert report["summary"]["mismatches"] == 0
+
+
+def test_open_problem_records_cap_overflow_as_skipped():
+    log = io.StringIO()
+    capped = open_problem_sweep(n_max=11, method="taylor", cap_k=2, log=log)
+    full = open_problem_sweep(n_max=11)
+    assert [(r["m"], r["l"], r["k"]) for r in capped] == [(r["m"], r["l"], r["k"]) for r in full]
+    skipped = [r for r in capped if r.get("status") == "skipped"]
+    assert skipped and all(r["k"] > 2 and "exceeds cap" in r["reason"] for r in skipped)
+    assert all(r["reg_oracle"] is None for r in skipped)
+    assert "skipped" in log.getvalue()
+    # the records that ran are the same as without the cap
+    assert [r for r in capped if "status" not in r] == [r for r in full if r["k"] <= 2]
 
 
 def test_open_problem_records_offset_regime_only():
