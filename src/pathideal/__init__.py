@@ -57,6 +57,7 @@ from .topology import (
     find_shelling,
     free_vertex_property,
     has_free_vertex,
+    is_interval_clutter,
     is_sequentially_cm,
     is_shelling,
     minimal_vertex_covers,

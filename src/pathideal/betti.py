@@ -24,9 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
-import numpy as np
-
-from .caps import HOCHSTER_CAP_N, INT64_MASK_N, TAYLOR_CAP_K, CapExceeded
+from .caps import SUBSET_CAP_N, TAYLOR_CAP_K, CapExceeded
 from .complexes import ChainComplex, SimplicialComplex, homology_dims_of_faces
 from .fields import GF2, FieldSpec, rank_sparse
 from .monomials import MonomialIdeal
@@ -122,26 +120,33 @@ def _require_proper_nonzero(ideal: MonomialIdeal) -> None:
         raise ValueError("unit ideal")
 
 
-def _face_masks(n: int, gen_masks: Iterable[int]) -> np.ndarray:
-    """All faces of the associated complex: subsets containing no generator."""
-    masks = np.arange(1 << n, dtype=np.int64)
-    is_face = np.ones(masks.shape, dtype=bool)
-    for g in gen_masks:
-        is_face &= (masks & g) != g
-    return masks[is_face]
+def _face_masks(n: int, gen_masks: Iterable[int]) -> list[int]:
+    """All faces of the associated complex: subsets containing no generator,
+    in increasing order.
+
+    Vertices are added one at a time: f + {v}, with f a face on the lower
+    vertices, is a face iff it contains no generator whose top vertex is v.
+    """
+    gens = tuple(gen_masks)
+    faces = [0]
+    for v in range(n):
+        bit = 1 << v
+        rests = [g ^ bit for g in gens if g.bit_length() == v + 1]
+        faces += [f | bit for f in faces if all(f & r != r for r in rests)]
+    return faces
 
 
 def _require_face_masks_fit(n: int, cap: int) -> None:
-    """Refuse ambient sizes beyond ``cap`` or beyond what int64 face masks hold."""
-    if n > min(cap, INT64_MASK_N):
-        raise CapExceeded(f"n={n} exceeds cap {min(cap, INT64_MASK_N)}")
+    """Refuse ambient sizes beyond ``cap``: faces range over all 2^n subsets."""
+    if n > cap:
+        raise CapExceeded(f"n={n} exceeds cap {cap}")
 
 
-def stanley_reisner_complex(ideal: MonomialIdeal, cap: int = HOCHSTER_CAP_N) -> SimplicialComplex:
+def stanley_reisner_complex(ideal: MonomialIdeal, cap: int = SUBSET_CAP_N) -> SimplicialComplex:
     """The complex whose faces are the variable subsets containing no generator."""
     _require_proper_nonzero(ideal)
     _require_face_masks_fit(ideal.n, cap)
-    faces = set(int(f) for f in _face_masks(ideal.n, ideal.gen_masks()))
+    faces = set(_face_masks(ideal.n, ideal.gen_masks()))
     # f is a facet iff adding any missing vertex leaves the complex
     facets = []
     for f in faces:
@@ -177,7 +182,7 @@ def _check_degree_row(ideal: MonomialIdeal, table: BettiTable) -> None:
 def betti_hochster(
     ideal: MonomialIdeal,
     field: FieldSpec = GF2,
-    cap: int = HOCHSTER_CAP_N,
+    cap: int = SUBSET_CAP_N,
     prune_cones: bool = True,
 ) -> BettiTable:
     """Betti table summed from homology of induced subcomplexes.
@@ -197,8 +202,7 @@ def betti_hochster(
         candidates = list(range(1, 1 << n))
     entries: dict[tuple[int, int], int] = {}
     for w in candidates:
-        sub = all_faces[(all_faces & ~w) == 0]
-        dims = homology_dims_of_faces((int(f) for f in sub), field)
+        dims = homology_dims_of_faces([f for f in all_faces if f & w == f], field)
         j = w.bit_count()
         for d, h in dims.items():
             i = j - d - 2
@@ -408,7 +412,7 @@ def betti_table(
     ideal: MonomialIdeal,
     field: FieldSpec = GF2,
     method: str = "auto",
-    cap_n: int = HOCHSTER_CAP_N,
+    cap_n: int = SUBSET_CAP_N,
     cap_k: int = TAYLOR_CAP_K,
 ) -> BettiTable:
     """Compute the Betti table by the requested method.

@@ -17,10 +17,10 @@ from typing import Optional
 
 from .betti import betti_table, depth_of, invariants_of
 from .caps import (
-    HOCHSTER_CAP_N,
     MINOR_CAP_N,
     SEQ_CM_CAP_N,
     SHELLING_CAP_FACETS,
+    SUBSET_CAP_N,
     TAYLOR_CAP_K,
     CapExceeded,
 )
@@ -53,9 +53,8 @@ from .topology import (
     cover_complex,
     find_shelling,
     free_vertex_property,
-    is_path_clutter,
+    is_interval_clutter,
     is_sequentially_cm,
-    path_free_vertex_property,
 )
 
 
@@ -255,15 +254,12 @@ def cmd_split(args) -> int:
 
 def cmd_cert(args) -> int:
     field = parse_field(args.field)
-    params = None
     if args.clutter:
         clutter = clutter_from_text(args.clutter)
-        params = is_path_clutter(clutter)
     else:
         if args.m is None or args.l is None or args.k is None:
             raise SystemExit2("give --m --l --k or --clutter")
-        params = PathParams(args.m, args.l, args.k)
-        clutter = clutter_of(make_path_ideal(params))
+        clutter = clutter_of(make_path_ideal(PathParams(args.m, args.l, args.k)))
 
     payload: dict = {"clutter": str(clutter)}
     if clutter.n <= args.cap_minors:
@@ -272,9 +268,9 @@ def cmd_cert(args) -> int:
         if counterexample is not None:
             payload["counterexample_minor"] = str(counterexample)
         payload["free_vertex_method"] = "minor enumeration"
-    elif params is not None:
-        payload["free_vertex_property"] = path_free_vertex_property(params)
-        payload["free_vertex_method"] = "path-family certificate"
+    elif is_interval_clutter(clutter):
+        payload["free_vertex_property"] = True
+        payload["free_vertex_method"] = "interval-clutter theorem"
     else:
         payload["free_vertex_property"] = None
         payload["free_vertex_method"] = f"skipped: n={clutter.n} exceeds cap {args.cap_minors}"
@@ -355,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--field", default="gf2", help="gf2, gf<p> or rat")
     common.add_argument("--method", default="auto",
                         choices=["auto", "interval", "hochster", "taylor", "both"])
-    common.add_argument("--cap-n", type=int, default=HOCHSTER_CAP_N, dest="cap_n")
+    common.add_argument("--cap-n", type=int, default=SUBSET_CAP_N, dest="cap_n")
     common.add_argument("--cap-k", type=int, default=TAYLOR_CAP_K, dest="cap_k")
 
     p_gen = sub.add_parser("gen", parents=[common], help="emit an ideal")

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .caps import HOMOLOGY_CAP_N, CapExceeded
+from .caps import SUBSET_CAP_N, CapExceeded
 from .fields import FieldSpec, rank_sparse
 from .monomials import iter_bits
 
@@ -165,7 +165,7 @@ def homology_dims_of_faces(faces: Iterable[int], field: FieldSpec) -> dict[int, 
 
 
 def reduced_homology_dims(
-    cx: SimplicialComplex, field: FieldSpec, cap: int = HOMOLOGY_CAP_N
+    cx: SimplicialComplex, field: FieldSpec, cap: int = SUBSET_CAP_N
 ) -> dict[int, int]:
     """Reduced homology of a complex given by facets.
 

@@ -1,30 +1,25 @@
 """Exact rank computation over GF(2), GF(p) and the rationals.
 
-Three backends, one per coefficient field:
+Matrices arrive as sparse integer columns ``[(row, coeff), ...]``, which is
+how boundary matrices are produced, and one column reduction serves every
+field: a column is reduced against earlier pivot columns, always on its
+largest row index, until it vanishes or starts a new pivot.
 
-* GF(2) — Gaussian elimination on columns stored as Python-int bitmasks,
-  so a row operation is a single XOR.
-* GF(p), p an odd prime below 2^16 — dense elimination on int64 numpy
-  arrays; all intermediate products fit comfortably in 64 bits.
-* rationals — fraction-free (Bareiss-style) elimination on int64 numpy
-  arrays with an overflow guard; matrices whose intermediate minors grow
-  past the guard are redone with exact Python integers.
-
-Matrices arrive either dense (numpy) or as sparse integer columns
-``[(row, coeff), ...]``, which is how boundary matrices are produced.
+* GF(2) — columns are Python-int bitmasks, so a reduction step is one XOR.
+* GF(p), p an odd prime below 2^16 — dict columns with entries mod p.
+* rationals — dict columns of Python ints, reduced fraction-free; Python
+  ints do not overflow, so no guard or fallback is needed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Optional, Sequence
-
-import numpy as np
 
 SparseColumn = Sequence[tuple[int, int]]
 
 _PRIME_LIMIT = 1 << 16
-_BAREISS_GUARD = 1 << 30  # max |entry| keeping products exact in int64
 
 
 def _is_prime(p: int) -> bool:
@@ -71,7 +66,7 @@ def parse_field(text: str) -> FieldSpec:
 
 
 # ---------------------------------------------------------------------------
-# GF(2): columns as bitmasks
+# rank
 # ---------------------------------------------------------------------------
 
 
@@ -91,143 +86,24 @@ def rank_gf2(column_masks: Sequence[int]) -> int:
     return rank
 
 
-# ---------------------------------------------------------------------------
-# GF(p), p odd
-# ---------------------------------------------------------------------------
-
-
-def rank_mod_p(matrix: np.ndarray, p: int) -> int:
-    """Rank over GF(p) by dense elimination (int64, entries reduced mod p)."""
-    m = np.array(matrix, dtype=np.int64) % p
-    rows, cols = m.shape
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(m[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            m[[r, i]] = m[[i, r]]
-        inv = pow(int(m[r, c]), p - 2, p)
-        m[r] = m[r] * inv % p
-        below = np.nonzero(m[r + 1:, c])[0] + r + 1
-        if below.size:
-            m[below] = (m[below] - np.outer(m[below, c], m[r])) % p
-        r += 1
-    return r
-
-
-# ---------------------------------------------------------------------------
-# rationals: fraction-free elimination
-# ---------------------------------------------------------------------------
-
-
-class _BareissOverflow(Exception):
-    pass
-
-
-def _rank_bareiss_numpy(matrix: np.ndarray) -> int:
-    m = np.array(matrix, dtype=np.int64)
-    rows, cols = m.shape
-    r = 0
-    prev = 1
-    for c in range(cols):
-        if r == rows:
-            break
-        col = m[r:, c]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
-            continue
-        # pivot of least magnitude limits entry growth
-        i = r + int(nz[np.argmin(np.abs(col[nz]))])
-        if i != r:
-            m[[r, i]] = m[[i, r]]
-        piv = int(m[r, c])
-        if r + 1 < rows:
-            block = m[r + 1:, :]
-            if np.abs(block).max(initial=0) > _BAREISS_GUARD or abs(piv) > _BAREISS_GUARD:
-                raise _BareissOverflow
-            m[r + 1:, :] = (block * piv - np.outer(block[:, c], m[r, :])) // prev
-        prev = piv
-        r += 1
-    return r
-
-
-def _rank_bareiss_exact(rows_list: list[list[int]]) -> int:
-    """Pure-Python Bareiss elimination; exact for arbitrary integer growth."""
-    m = [list(row) for row in rows_list]
-    if not m or not m[0]:
-        return 0
-    rows, cols = len(m), len(m[0])
-    r = 0
-    prev = 1
-    for c in range(cols):
-        if r == rows:
-            break
-        pivot_row = None
-        pivot_abs = None
-        for i in range(r, rows):
-            v = m[i][c]
-            if v and (pivot_abs is None or abs(v) < pivot_abs):
-                pivot_row, pivot_abs = i, abs(v)
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            m[r], m[pivot_row] = m[pivot_row], m[r]
-        piv = m[r][c]
-        top = m[r]
-        for i in range(r + 1, rows):
-            row = m[i]
-            f = row[c]
-            if f:
-                for j in range(cols):
-                    row[j] = (row[j] * piv - f * top[j]) // prev
-            else:
-                for j in range(cols):
-                    row[j] = row[j] * piv // prev
-        prev = piv
-        r += 1
-    return r
-
-
-def rank_rational(matrix: np.ndarray) -> int:
-    """Exact rank over the rationals of an integer matrix."""
-    try:
-        return _rank_bareiss_numpy(matrix)
-    except (_BareissOverflow, OverflowError):
-        # entries or intermediate minors beyond int64: redo with Python ints
-        return _rank_bareiss_exact(np.array(matrix, dtype=object).tolist())
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-
-def rank_dense(matrix: np.ndarray, field: FieldSpec) -> int:
-    matrix = np.asarray(matrix)
-    if matrix.size == 0:
-        return 0
-    if field.p == 2:
-        masks = []
-        for c in range(matrix.shape[1]):
-            mask = 0
-            for r in np.nonzero(matrix[:, c] % 2)[0]:
-                mask |= 1 << int(r)
-            masks.append(mask)
-        return rank_gf2(masks)
-    if field.p is not None:
-        return rank_mod_p(matrix, field.p)
-    return rank_rational(matrix)
-
-
 def rank_sparse(columns: Sequence[SparseColumn], nrows: int, field: FieldSpec) -> int:
-    """Rank of a matrix given by sparse integer columns."""
+    """Rank of a matrix given by sparse integer columns.
+
+    Entries of a column that share a row are summed.  Over GF(2) the columns
+    become bitmasks for :func:`rank_gf2`.  Otherwise each column, a dict
+    row -> entry, is reduced against the pivot columns found so far,
+    pivoting on its largest row index as :func:`rank_gf2` does, until it
+    vanishes or its largest row has no pivot yet; it then becomes that row's
+    pivot.  Over GF(p) entries are kept mod p and a pivot is scaled to
+    leading entry 1.  Over QQ the reduction is fraction-free on Python ints:
+    a step multiplies the column by the pivot's leading entry and subtracts
+    a multiple of the pivot (both factors divided by their gcd), and a new
+    pivot column is divided by the gcd of its entries.
+    """
     if nrows == 0 or not columns:
         return 0
-    if field.p == 2:
+    p = field.p
+    if p == 2:
         masks = []
         for col in columns:
             mask = 0
@@ -236,10 +112,38 @@ def rank_sparse(columns: Sequence[SparseColumn], nrows: int, field: FieldSpec) -
                     mask ^= 1 << row
             masks.append(mask)
         return rank_gf2(masks)
-    dense = np.zeros((nrows, len(columns)), dtype=np.int64)
-    for j, col in enumerate(columns):
+    pivots: dict[int, dict[int, int]] = {}
+    for col in columns:
+        v: dict[int, int] = {}
         for row, coeff in col:
-            dense[row, j] += coeff
-    if field.p is not None:
-        return rank_mod_p(dense, field.p)
-    return rank_rational(dense)
+            v[row] = v.get(row, 0) + coeff
+        if p:
+            v = {row: c % p for row, c in v.items() if c % p}
+        else:
+            v = {row: c for row, c in v.items() if c}
+        while v:
+            h = max(v)
+            w = pivots.get(h)
+            if w is None:
+                if p:
+                    inv = pow(v[h], -1, p)
+                    pivots[h] = {row: c * inv % p for row, c in v.items()}
+                else:
+                    g = gcd(*v.values())
+                    pivots[h] = {row: c // g for row, c in v.items()}
+                break
+            a, c = w[h], v[h]  # a == 1 over GF(p)
+            if not p:
+                g = gcd(a, c)
+                a, c = a // g, c // g
+            if a != 1:
+                v = {row: a * x for row, x in v.items()}
+            for row, x in w.items():
+                y = v.get(row, 0) - c * x
+                if p:
+                    y %= p
+                if y:
+                    v[row] = y
+                else:
+                    del v[row]
+    return len(pivots)

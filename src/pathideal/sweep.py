@@ -23,7 +23,7 @@ import time
 from typing import Iterator, Optional
 
 from .betti import betti_table, depth_of, invariants_of
-from .caps import HOCHSTER_CAP_N, TAYLOR_CAP_K, CapExceeded
+from .caps import SUBSET_CAP_N, TAYLOR_CAP_K, CapExceeded
 from .fields import FieldSpec, parse_field
 from .monomials import ideal_to_text
 from .pathfamily import (
@@ -73,7 +73,7 @@ def evaluate_instance(
     params: PathParams,
     field: FieldSpec,
     method: str = "auto",
-    cap_n: int = HOCHSTER_CAP_N,
+    cap_n: int = SUBSET_CAP_N,
     cap_k: int = TAYLOR_CAP_K,
     timing: bool = False,
 ) -> dict:
@@ -134,7 +134,7 @@ def run_sweep(
     l_fixed: Optional[int] = None,
     k_fixed: Optional[int] = None,
     k_max: Optional[int] = None,
-    cap_n: int = HOCHSTER_CAP_N,
+    cap_n: int = SUBSET_CAP_N,
     cap_k: int = TAYLOR_CAP_K,
     jobs: int = 1,
     timing: bool = False,
@@ -179,7 +179,7 @@ def open_problem_sweep(
     n_max: int = 13,
     field: Optional[FieldSpec] = None,
     method: str = "auto",
-    cap_n: int = HOCHSTER_CAP_N,
+    cap_n: int = SUBSET_CAP_N,
     cap_k: int = TAYLOR_CAP_K,
     log=None,
 ) -> list[dict]:

@@ -16,16 +16,15 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from .caps import (
-    COVER_CAP_N,
     MINOR_CAP_N,
     SEQ_CM_CAP_N,
     SHELLING_CAP_FACETS,
+    SUBSET_CAP_N,
     CapExceeded,
 )
 from .complexes import SimplicialComplex, homology_dims_of_faces
 from .fields import FieldSpec
 from .monomials import MonomialIdeal, iter_bits
-from .pathfamily import PathParams
 
 
 @dataclass(frozen=True)
@@ -89,7 +88,7 @@ def clutter_of(ideal: MonomialIdeal) -> Clutter:
     return Clutter(ideal.n, ideal.gen_masks())
 
 
-def minimal_vertex_covers(clutter: Clutter, cap: int = COVER_CAP_N) -> tuple[int, ...]:
+def minimal_vertex_covers(clutter: Clutter, cap: int = SUBSET_CAP_N) -> tuple[int, ...]:
     """All inclusion-minimal transversals, canonically ordered, as bitmasks.
 
     A cover is minimal iff each of its vertices has a private edge (an edge
@@ -118,7 +117,7 @@ def minimal_vertex_covers(clutter: Clutter, cap: int = COVER_CAP_N) -> tuple[int
     return tuple(covers)
 
 
-def cover_complex(clutter: Clutter, cap: int = COVER_CAP_N) -> SimplicialComplex:
+def cover_complex(clutter: Clutter, cap: int = SUBSET_CAP_N) -> SimplicialComplex:
     """The complex whose facets are the complements of the minimal covers."""
     full = (1 << clutter.n) - 1
     facets = [full & ~c for c in minimal_vertex_covers(clutter, cap)]
@@ -267,73 +266,22 @@ def free_vertex_property(
     return True, None
 
 
-def path_minor_free_vertex(params: PathParams, zeros: int, ones: int) -> Optional[int]:
-    """Constructive free vertex of a minor of the path clutter.
+def is_interval_clutter(clutter: Clutter) -> bool:
+    """True iff every edge is a run of consecutive vertices.
 
-    Takes the earliest window that survives and stays minimal after the
-    assignment and returns its smallest index not set to 1.  Returns None
-    when the assignment does not produce a proper nonzero minor.  This is a
-    fast certificate; the generic minor enumeration remains the oracle.
+    Every interval clutter has the free vertex property.
+
+    Proof.  Let a minor set the vertices Z to 0 and O to 1.  An edge e that
+    survives meets no vertex of Z, so e minus O is the set of vertices of e
+    that the minor keeps: an interval in the order of the kept vertices.
+    Minimalizing drops edges, so the minor is again an interval clutter, in
+    that order.  In an antichain of intervals no two start at the same
+    vertex, since one of them would contain the other; so one interval
+    starts first, at a vertex s, and every other edge starts after s and
+    misses it.  So s lies in exactly one edge.  The clutter itself is the
+    minor with Z and O empty, so it and every minor have a free vertex.
     """
-    m, l, k = params.m, params.l, params.k
-    window = (1 << m) - 1
-    masks = {i: window << ((i - 1) * (m - l)) for i in range(1, k + 1)}
-    surviving = {i: masks[i] & ~ones for i in masks if not masks[i] & zeros}
-    if not surviving:
-        return None
-    if any(v == 0 for v in surviving.values()):
-        return None
-    # true antichain: absorption can go in either index direction
-    minimal = [
-        i
-        for i in sorted(surviving)
-        if not any(
-            (surviving[j] & surviving[i] == surviving[j])
-            and (surviving[j] != surviving[i] or j < i)
-            for j in surviving
-            if j != i
-        )
-    ]
-    first = minimal[0]
-    return (surviving[first] & -surviving[first]).bit_length()
-
-
-def is_path_clutter(clutter: Clutter) -> Optional[PathParams]:
-    """Recognize a path clutter: equal-width consecutive windows, constant step."""
-    edges = clutter.edges
-    starts_ends = []
-    for e in edges:
-        vs = tuple(iter_bits(e))
-        if vs != tuple(range(vs[0], vs[0] + len(vs))):
-            return None
-        starts_ends.append((vs[0], vs[-1]))
-    starts_ends.sort()
-    m = starts_ends[0][1] - starts_ends[0][0] + 1
-    if m < 2 or starts_ends[0][0] != 1:
-        return None
-    steps = {b[0] - a[0] for a, b in zip(starts_ends, starts_ends[1:])}
-    k = len(edges)
-    if k == 1:
-        params = PathParams(m, m - 1, 1) if m >= 2 else None
-        return params if params and params.n == clutter.n else None
-    if len(steps) != 1:
-        return None
-    step = steps.pop()
-    if not 1 <= step <= m - 1:
-        return None
-    if any(e - s + 1 != m for s, e in starts_ends):
-        return None
-    params = PathParams(m, m - step, k)
-    return params if params.n == clutter.n else None
-
-
-def path_free_vertex_property(params: PathParams) -> bool:
-    """Fast certificate that a path clutter has the free vertex property.
-
-    Every proper nonzero minor keeps a free vertex by the constructive
-    witness of :func:`path_minor_free_vertex`; always true for this family.
-    """
-    return True
+    return all(e & (e + (e & -e)) == 0 for e in clutter.edges)
 
 
 # ---------------------------------------------------------------------------

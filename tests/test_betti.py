@@ -255,14 +255,6 @@ def test_interval_route_rejects_other_ideals():
     assert betti_table(triangle, GF2) == betti_table(triangle, GF2, "both")
 
 
-def test_hochster_refuses_ambient_beyond_int64_masks():
-    ideal = make_path_ideal(PathParams(2, 1, 62))  # n = 63
-    with pytest.raises(CapExceeded):
-        betti_hochster(ideal, GF2, cap=100)
-    with pytest.raises(CapExceeded):
-        stanley_reisner_complex(ideal, cap=100)
-
-
 def test_golden_text_format():
     got = betti_table(make_path_ideal(PathParams(3, 1, 2)), GF2)
     assert got.to_text() == "0 3 2\n1 5 1\n"

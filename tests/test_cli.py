@@ -74,10 +74,24 @@ def test_betti_interval_method(capsys):
     assert code == 2 and "not generated by intervals" in err
 
 
+def source_env():
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+
+
+def test_cli_import_does_not_load_numpy():
+    env = source_env()
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, pathideal.cli; assert 'numpy' not in sys.modules"],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert done.returncode == 0, done.stderr
+
+
 def test_betti_checks_survive_optimized_mode():
     """Under ``python -O`` asserts vanish; the table checks must not."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    env = source_env()
     done = subprocess.run(
         [sys.executable, "-O", "-m", "pathideal.cli", "betti", "--m", "3", "--l", "1",
          "--k", "2", "--golden"],
@@ -161,10 +175,20 @@ def test_cert_skips_checks_beyond_the_cover_cap(capsys):
     code, out, _ = run(capsys, "cert", "--m", "3", "--l", "1", "--k", "8", "--json")
     assert code == 0
     payload = json.loads(out)
+    # n = 17 is above the minor cap; the path clutter is an interval clutter
+    assert payload["free_vertex_property"] is True
+    assert payload["free_vertex_method"] == "interval-clutter theorem"
     assert "exceeds cap" in payload["cover_complex_skipped"]
     assert payload["facets"] is None and payload["shelling"] is None
     assert payload["seq_cm"] is None
     assert "shelling_skipped" in payload and "seq_cm_skipped" in payload
+
+
+def test_cert_skips_free_vertex_check_of_large_non_interval_clutter(capsys):
+    _, out, _ = run(capsys, "cert", "--clutter", "n=13; {1,3},{2,4}", "--json")
+    payload = json.loads(out)
+    assert payload["free_vertex_property"] is None
+    assert payload["free_vertex_method"] == "skipped: n=13 exceeds cap 12"
 
 
 def test_cert_triangle_fails(capsys):

@@ -1,23 +1,22 @@
-"""Rank backends cross-checked against a Fraction-based reference elimination."""
+"""The sparse rank reducer cross-checked against a Fraction-based reference elimination."""
 
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-import pathideal.fields as fields
 from pathideal.fields import (
     GF2,
     QQ,
     FieldSpec,
     parse_field,
-    rank_dense,
     rank_gf2,
-    rank_mod_p,
-    rank_rational,
     rank_sparse,
 )
+
+FIELDS = (GF2, FieldSpec(3), FieldSpec(5), FieldSpec(65521), QQ)
 
 
 def reference_rank(matrix, p=None):
@@ -52,6 +51,27 @@ def reference_rank(matrix, p=None):
     return rank
 
 
+def columns_of(matrix):
+    """Sparse columns [(row, entry), ...] of a matrix given by its rows."""
+    ncols = len(matrix[0]) if matrix else 0
+    return [[(i, row[j]) for i, row in enumerate(matrix) if row[j]] for j in range(ncols)]
+
+
+def dense_of(columns, nrows):
+    """Rows of the matrix of sparse columns, entries that share a row summed."""
+    matrix = [[0] * len(columns) for _ in range(nrows)]
+    for j, col in enumerate(columns):
+        for i, coeff in col:
+            matrix[i][j] += coeff
+    return matrix
+
+
+def assert_matches_reference(matrix, fields=FIELDS):
+    for field in fields:
+        got = rank_sparse(columns_of(matrix), len(matrix), field)
+        assert got == reference_rank(matrix, field.p), (matrix, field)
+
+
 def test_field_spec_labels_and_parsing():
     assert parse_field("gf2") == GF2
     assert parse_field("GF(7)").p == 7
@@ -75,19 +95,20 @@ def test_rank_gf2_small_cases():
 
 
 def test_rank_known_matrices():
-    eye = np.eye(4, dtype=np.int64)
-    zero = np.zeros((3, 5), dtype=np.int64)
-    singular = np.array([[1, 2], [2, 4]], dtype=np.int64)
-    for field in (GF2, FieldSpec(3), FieldSpec(7), QQ):
-        assert rank_dense(eye, field) == 4
-        assert rank_dense(zero, field) == 0
-    assert rank_dense(singular, QQ) == 1
-    assert rank_dense(singular, FieldSpec(3)) == 1
-    # 2 divides every entry of [[2]] but not over QQ or GF(3)
-    two = np.array([[2]], dtype=np.int64)
-    assert rank_dense(two, GF2) == 0
-    assert rank_dense(two, QQ) == 1
-    assert rank_dense(two, FieldSpec(3)) == 1
+    eye = [[int(i == j) for j in range(4)] for i in range(4)]
+    zero = [[0] * 5 for _ in range(3)]
+    singular = [[1, 2], [2, 4]]
+    two = [[2]]
+    for field in FIELDS:
+        assert rank_sparse(columns_of(eye), 4, field) == 4
+        assert rank_sparse(columns_of(zero), 3, field) == 0
+        assert rank_sparse(columns_of(singular), 2, field) == 1
+        # 2 divides every entry of [[2]] over GF(2) only
+        assert rank_sparse(columns_of(two), 1, field) == (0 if field == GF2 else 1)
+        assert rank_sparse([], 3, field) == 0
+        assert rank_sparse([[], []], 0, field) == 0
+    for matrix in (eye, zero, singular, two):
+        assert_matches_reference(matrix)
 
 
 def test_random_ranks_match_reference():
@@ -95,68 +116,73 @@ def test_random_ranks_match_reference():
     for _ in range(80):
         rows = rng.randint(1, 7)
         cols = rng.randint(1, 7)
-        matrix = [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)]
-        dense = np.array(matrix, dtype=np.int64)
-        assert rank_rational(dense) == reference_rank(matrix)
-        for p in (2, 3, 5):
-            expected = reference_rank(matrix, p)
-            got = rank_dense(dense, FieldSpec(p))
-            assert got == expected
+        assert_matches_reference([[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)])
 
 
 def test_low_rank_products_match_reference():
     rng = random.Random(43)
     for _ in range(30):
         r = rng.randint(1, 3)
-        a = np.array([[rng.randint(-4, 4) for _ in range(r)] for _ in range(6)])
-        b = np.array([[rng.randint(-4, 4) for _ in range(7)] for _ in range(r)])
-        m = (a @ b).astype(np.int64)
-        assert rank_rational(m) == reference_rank(m.tolist())
-
-
-def test_bareiss_overflow_falls_back_to_exact(monkeypatch):
-    rng = random.Random(44)
-    matrix = [[rng.randint(-9, 9) for _ in range(10)] for _ in range(10)]
-    expected = reference_rank(matrix)
-    dense = np.array(matrix, dtype=np.int64)
-    monkeypatch.setattr(fields, "_BAREISS_GUARD", 4)
-    assert rank_rational(dense) == expected
-
-
-def test_exact_bareiss_handles_large_entries():
-    big = 1 << 40
-    matrix = [[big, big + 1], [big - 1, big]]
-    assert fields._rank_bareiss_exact(matrix) == 2
-    assert fields._rank_bareiss_exact([[big, 2 * big], [3 * big, 6 * big]]) == 1
+        a = [[rng.randint(-4, 4) for _ in range(r)] for _ in range(6)]
+        b = [[rng.randint(-4, 4) for _ in range(7)] for _ in range(r)]
+        product = [[sum(a[i][t] * b[t][j] for t in range(r)) for j in range(7)] for i in range(6)]
+        assert rank_sparse(columns_of(product), 6, QQ) <= r
+        assert_matches_reference(product)
 
 
 def test_rank_rational_accepts_entries_beyond_int64():
+    big = 1 << 40  # products of two entries leave int64
     huge = 1 << 80
-    matrix = np.array([[huge, 1], [0, huge]], dtype=object)
-    assert rank_rational(matrix) == 2
-    assert rank_rational(np.array([[huge, 2 * huge]], dtype=object)) == 1
+    cases = [
+        ([[big, big + 1], [big - 1, big]], 2),
+        ([[big, 2 * big], [3 * big, 6 * big]], 1),
+        ([[huge, 1], [0, huge]], 2),
+        ([[huge, 2 * huge]], 1),
+    ]
+    for matrix, rank in cases:
+        assert rank_sparse(columns_of(matrix), len(matrix), QQ) == rank
+        assert reference_rank(matrix) == rank
 
 
 def test_rank_sparse_matches_dense():
+    """Random ±1 columns, some with repeated rows, as boundary matrices come."""
     rng = random.Random(45)
     for _ in range(40):
         nrows = rng.randint(1, 8)
-        ncols = rng.randint(1, 8)
-        cols = []
-        dense = np.zeros((nrows, ncols), dtype=np.int64)
-        for j in range(ncols):
-            entries = []
-            for i in rng.sample(range(nrows), rng.randint(0, nrows)):
-                coeff = rng.choice([-1, 1])
-                entries.append((i, coeff))
-                dense[i, j] += coeff
-            cols.append(entries)
-        for field in (GF2, FieldSpec(3), QQ):
-            assert rank_sparse(cols, nrows, field) == rank_dense(dense, field)
+        columns = []
+        for _ in range(rng.randint(1, 8)):
+            rows = rng.sample(range(nrows), rng.randint(0, nrows))
+            rows += rng.sample(rows, rng.randint(0, len(rows)))
+            columns.append([(i, rng.choice([-1, 1])) for i in rows])
+        dense = dense_of(columns, nrows)
+        for field in FIELDS:
+            assert rank_sparse(columns, nrows, field) == reference_rank(dense, field.p)
 
 
 def test_rank_mod_p_stays_within_int64():
+    """Entries stay reduced mod p < 2^16, so every product fits in 64 bits."""
     p = 65521  # largest prime below 2^16
     rng = random.Random(46)
     matrix = [[rng.randint(0, p - 1) for _ in range(6)] for _ in range(6)]
-    assert rank_mod_p(np.array(matrix), p) == reference_rank(matrix, p)
+    assert_matches_reference(matrix, [FieldSpec(p)])
+    # the determinant is p: rank 2 over QQ, 1 mod p
+    det_p = [[1, p], [0, p]]
+    assert rank_sparse(columns_of(det_p), 2, FieldSpec(p)) == 1
+    assert rank_sparse(columns_of(det_p), 2, QQ) == 2
+
+
+@st.composite
+def sparse_matrices(draw):
+    nrows = draw(st.integers(1, 8))
+    entries = st.tuples(st.integers(0, nrows - 1), st.integers(-6, 6))
+    columns = draw(st.lists(st.lists(entries, max_size=2 * nrows), min_size=1, max_size=8))
+    return columns, nrows
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(sparse_matrices())
+def test_rank_sparse_equals_reference_property(matrix):
+    columns, nrows = matrix
+    dense = dense_of(columns, nrows)
+    for field in FIELDS:
+        assert rank_sparse(columns, nrows, field) == reference_rank(dense, field.p)

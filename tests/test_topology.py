@@ -19,12 +19,11 @@ from pathideal.topology import (
     find_shelling,
     free_vertex_property,
     has_free_vertex,
-    is_path_clutter,
+    is_interval_clutter,
     is_sequentially_cm,
     is_shelling,
     minimal_vertex_covers,
     minors,
-    path_minor_free_vertex,
 )
 
 
@@ -202,35 +201,38 @@ def test_free_vertex_property_closed_under_minors():
                 assert free_vertex_property(minor)[0]
 
 
-def test_path_minor_witness_matches_generic_enumeration():
-    import itertools
-
-    for params in [PathParams(2, 1, 3), PathParams(3, 1, 2), PathParams(3, 2, 3),
-                   PathParams(4, 2, 2)]:
-        c = clutter_of(make_path_ideal(params))
-        support = list(iter_bits(c.support))
-        for choice in itertools.product((None, 0, 1), repeat=len(support)):
-            zeros = ones = 0
-            for v, ch in zip(support, choice):
-                if ch == 0:
-                    zeros |= 1 << (v - 1)
-                elif ch == 1:
-                    ones |= 1 << (v - 1)
-            minor = apply_assignment(c, zeros, ones)
-            witness = path_minor_free_vertex(params, zeros, ones)
-            if minor is None:
-                assert witness is None
-            else:
-                assert witness is not None
-                count = sum(1 for e in minor.edges if e & (1 << (witness - 1)))
-                assert count == 1, (str(params), zeros, ones, witness)
+def interval_clutters(n):
+    """Every nonempty antichain of intervals [a, b] of 1..n: starts and ends
+    both strictly increase."""
+    out = []
+    stack = [()]
+    while stack:
+        chain = stack.pop()
+        if chain:
+            out.append(clutter(n, *[range(a, b + 1) for a, b in chain]))
+        a0, b0 = chain[-1] if chain else (0, 0)
+        stack.extend(chain + ((a, b),) for a in range(a0 + 1, n + 1)
+                     for b in range(max(a, b0 + 1), n + 1))
+    return out
 
 
-def test_is_path_clutter_recognition():
-    assert is_path_clutter(C312) == PathParams(3, 1, 2)
-    assert is_path_clutter(PATH_L4) == PathParams(2, 1, 3)
-    assert is_path_clutter(TRIANGLE) is None
-    assert is_path_clutter(clutter(4, [1, 2], [3, 4])) is None
+def test_interval_clutter_theorem_matches_minor_enumeration():
+    clutters = [c for n in range(1, 7) for c in interval_clutters(n)]
+    assert len(clutters) == 618
+    for c in clutters:
+        assert is_interval_clutter(c)
+        ok, counterexample = free_vertex_property(c)
+        assert ok, (str(c), str(counterexample))
+
+
+def test_is_interval_clutter_recognition():
+    assert is_interval_clutter(C312)
+    assert is_interval_clutter(PATH_L4)
+    assert is_interval_clutter(clutter(4, [1, 2], [3, 4]))
+    assert is_interval_clutter(clutter(5, [2, 3, 4]))
+    assert not is_interval_clutter(TRIANGLE)
+    assert not is_interval_clutter(clutter(4, [1, 3]))
+    assert not is_interval_clutter(clutter(5, [1, 2], [2, 3, 5]))
 
 
 # ---------------------------------------------------------------------------
