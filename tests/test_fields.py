@@ -130,12 +130,20 @@ def test_low_rank_products_match_reference():
         assert_matches_reference(product)
 
 
-def test_rank_rational_accepts_entries_beyond_int64():
+def test_exact_bareiss_handles_large_entries():
     big = 1 << 40  # products of two entries leave int64
-    huge = 1 << 80
     cases = [
         ([[big, big + 1], [big - 1, big]], 2),
         ([[big, 2 * big], [3 * big, 6 * big]], 1),
+    ]
+    for matrix, rank in cases:
+        assert rank_sparse(columns_of(matrix), len(matrix), QQ) == rank
+        assert reference_rank(matrix) == rank
+
+
+def test_rank_rational_accepts_entries_beyond_int64():
+    huge = 1 << 80
+    cases = [
         ([[huge, 1], [0, huge]], 2),
         ([[huge, 2 * huge]], 1),
     ]
