@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 from .caps import SUBSET_CAP_N, TAYLOR_CAP_K, CapExceeded
-from .complexes import ChainComplex, SimplicialComplex, homology_dims_of_faces
-from .fields import GF2, FieldSpec, rank_sparse
+from .complexes import ChainComplex, SimplicialComplex
+from .fields import GF2, FieldSpec, rank_gf2, rank_sparse
 from .monomials import MonomialIdeal
 
 
@@ -187,25 +187,74 @@ def betti_hochster(
 ) -> BettiTable:
     """Betti table summed from homology of induced subcomplexes.
 
-    With ``prune_cones`` (default) only vertex subsets that equal the union
-    of the generator supports they contain are visited; any other subset
-    induces a cone, which is contractible and contributes nothing.
+    Hochster's formula gives beta_{i,j} as the sum over vertex subsets W
+    with |W| = j of the reduced homology of the induced subcomplex Delta_W
+    in dimension j - i - 2.  With ``prune_cones`` (default) only subsets
+    that equal the union of the generator supports they contain are
+    visited; any other subset induces a cone, which is contractible and
+    contributes nothing.
+
+    The faces of Delta are enumerated once, each with a row index within
+    its size, and the boundary column of each face is built once in those
+    indices (a bitmask over GF(2), sparse +-1 entries otherwise).  For a
+    subset W the columns of the faces inside W are exactly the boundary
+    matrices of Delta_W: every term of the boundary of a face inside W is a
+    face inside W, so the rows of the faces outside W are zero in the kept
+    columns.  Rank depends neither on how rows are numbered nor on zero
+    rows, so each rank of the augmented chain complex of Delta_W is the
+    rank of its kept columns.
     """
     _require_proper_nonzero(ideal)
     n = ideal.n
     _require_face_masks_fit(n, cap)
     gen_masks = ideal.gen_masks()
-    all_faces = _face_masks(n, gen_masks)
+    faces_by_size: list[list[int]] = [[] for _ in range(n + 1)]
+    for f in _face_masks(n, gen_masks):
+        faces_by_size[f.bit_count()].append(f)
+    row = {f: r for faces in faces_by_size for r, f in enumerate(faces)}
+    gf2 = field.p == 2
+    # cells[g]: (face, boundary column) for the faces of size g >= 1; the
+    # boundary of f is the sum of (-1)^pos (f minus its pos-th vertex)
+    cells: list[list[tuple[int, int | list[tuple[int, int]]]]] = [[]]
+    for faces in faces_by_size[1:]:
+        if not faces:
+            break
+        sized = []
+        for f in faces:
+            terms = []
+            rest = f
+            while rest:
+                low = rest & -rest
+                terms.append(row[f ^ low])
+                rest ^= low
+            if gf2:
+                column: int | list[tuple[int, int]] = sum(1 << r for r in terms)
+            else:
+                column = [(r, -1 if pos % 2 else 1) for pos, r in enumerate(terms)]
+            sized.append((f, column))
+        cells.append(sized)
     if prune_cones:
         candidates = _union_closure(gen_masks)
     else:
         candidates = list(range(1, 1 << n))
     entries: dict[tuple[int, int], int] = {}
     for w in candidates:
-        dims = homology_dims_of_faces([f for f in all_faces if f & w == f], field)
+        # sizes[g] and ranks[g]: faces of size g in W, rank of their boundary
+        sizes, ranks = [1], [0]
+        for g in range(1, len(cells)):
+            cols = [c for f, c in cells[g] if f & w == f]
+            if not cols:
+                break
+            sizes.append(len(cols))
+            if gf2:
+                ranks.append(rank_gf2(cols))
+            else:
+                ranks.append(rank_sparse(cols, len(faces_by_size[g - 1]), field))
+        ranks.append(0)
         j = w.bit_count()
-        for d, h in dims.items():
-            i = j - d - 2
+        for g, size in enumerate(sizes):
+            h = size - ranks[g] - ranks[g + 1]
+            i = j - g - 1  # faces of size g have dimension g - 1
             if h and i >= 0:
                 entries[(i, j)] = entries.get((i, j), 0) + h
     table = BettiTable(entries)

@@ -94,9 +94,10 @@ class MonomialIdeal:
             raise ValueError("generators not in canonical order; use minimalize()")
         if len(set(keys)) != len(keys):
             raise ValueError("duplicate generators; use minimalize()")
-        for a in self.gens:
-            for b in self.gens:
-                if a is not b and a.divides(b):
+        masks = [g.mask for g in self.gens]
+        for a in masks:
+            for b in masks:
+                if a & b == a and a != b:
                     raise ValueError("generators are not an antichain; use minimalize()")
 
     @property
@@ -151,9 +152,12 @@ def minimalize(n: int, raw: Iterable[Monomial]) -> MonomialIdeal:
         if not g.fits(n):
             raise ValueError(f"generator {g} does not fit ambient size {n}")
     kept: list[Monomial] = []
+    kept_masks: list[int] = []
     for g in monomials:
-        if not any(h.divides(g) for h in kept):
+        m = g.mask
+        if not any(h & m == h for h in kept_masks):
             kept.append(g)
+            kept_masks.append(m)
     kept.sort(key=lambda g: g.vars)
     return MonomialIdeal(n, tuple(kept))
 

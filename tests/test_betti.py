@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from pathideal.betti import (
     BettiTable,
+    _intervals,
     betti_hochster,
     betti_interval,
     betti_table,
@@ -149,9 +150,48 @@ def test_cone_pruning_changes_nothing():
     for _ in range(25):
         n = rng.randint(2, 5)
         ideal = random_proper_ideal(rng, n, 3)
-        assert betti_hochster(ideal, GF2, prune_cones=True) == betti_hochster(
-            ideal, GF2, prune_cones=False
+        for field in (GF2, FieldSpec(3), QQ):
+            assert betti_hochster(ideal, field, prune_cones=True) == betti_hochster(
+                ideal, field, prune_cones=False
+            ), (str(ideal), field.label)
+
+
+@st.composite
+def non_interval_ideals(draw, n_max=8, max_gens=6):
+    """Minimalized ideals of random squarefree generators on 1..n, kept
+    only when some generator is not an interval, so that ``auto`` would not
+    take the interval route."""
+    n = draw(st.integers(2, n_max))
+    masks = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=max_gens))
+    ideal = minimalize(n, [Monomial(m) for m in masks])
+    assume(ideal.is_proper_nonzero and _intervals(ideal) is None)
+    return ideal
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(non_interval_ideals())
+def test_exponential_routes_agree_on_random_non_interval_ideals(ideal):
+    for field in (GF2, FieldSpec(3), QQ):
+        assert betti_hochster(ideal, field) == betti_taylor_tor(ideal, field), (
+            str(ideal),
+            field.label,
         )
+
+
+def test_hochster_builds_no_chain_complex(monkeypatch):
+    import pathideal.complexes as complexes
+
+    ideal = projective_plane_ideal()
+    fields = (GF2, FieldSpec(3), QQ)
+    expected = [betti_hochster(ideal, field) for field in fields]
+
+    def refuse(faces):
+        raise RuntimeError("chain_complex_of_faces called")
+
+    monkeypatch.setattr(complexes, "chain_complex_of_faces", refuse)
+    with pytest.raises(RuntimeError):
+        complexes.homology_dims_of_faces([0, 1], GF2)  # the patch reaches homology
+    assert [betti_hochster(ideal, field) for field in fields] == expected
 
 
 def test_generator_row_matches_degree_histogram():
@@ -164,21 +204,19 @@ def test_generator_row_matches_degree_histogram():
         assert row == ideal.degree_histogram()
 
 
-def test_torsion_ideal_distinguishes_fields():
-    # generators: complements of the projective-plane triangles on 6 vertices;
-    # the full-support column then sees its 2-torsion
+def projective_plane_ideal():
+    """Generators: complements of the projective-plane triangles on 6
+    vertices; the full-support column of its table sees their 2-torsion."""
     triangles = [
         (1, 2, 5), (1, 2, 6), (1, 3, 4), (1, 3, 6), (1, 4, 5),
         (2, 3, 4), (2, 3, 5), (2, 4, 6), (3, 5, 6), (4, 5, 6),
     ]
     full = (1 << 6) - 1
-    gens = []
-    for t in triangles:
-        mask = 0
-        for v in t:
-            mask |= 1 << (v - 1)
-        gens.append(Monomial(full & ~mask))
-    ideal = minimalize(6, gens)
+    return minimalize(6, [Monomial(full & ~Monomial.from_vars(t).mask) for t in triangles])
+
+
+def test_torsion_ideal_distinguishes_fields():
+    ideal = projective_plane_ideal()
     t2 = betti_taylor_tor(ideal, GF2)
     tq = betti_taylor_tor(ideal, QQ)
     assert t2 != tq  # characteristic matters in general...

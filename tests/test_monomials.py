@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pathideal.monomials import (
     Monomial,
@@ -213,6 +215,25 @@ def test_ideal_text_roundtrip():
     assert ideal_from_text(text) == i
     assert ideal_from_text("n=5; ({1,2,3}, {3,4,5})") == i
     assert ideal_from_text("n=3; (0)").is_zero
+
+
+@st.composite
+def minimalized_ideals(draw, n_max=12, max_gens=8):
+    """Ideals from random squarefree families on 1..n: the zero ideal (empty
+    family), the unit ideal (mask 0) and two-digit indices all occur."""
+    n = draw(st.integers(1, n_max))
+    masks = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=max_gens))
+    return minimalize(n, [Monomial(m) for m in masks])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(minimalized_ideals())
+@example(MonomialIdeal(4, ()))
+def test_ideal_text_roundtrip_property(i):
+    text = ideal_to_text(i)
+    assert ideal_from_text(text) == i, text
+    compact = f"n={i.n}; (" + ", ".join(monomial_to_text(g, compact=True) for g in i.gens) + ")"
+    assert ideal_from_text(compact) == i, compact
 
 
 def test_canonical_order_is_lex_on_index_lists():
