@@ -6,9 +6,12 @@ it and record the instance as skipped instead of hanging.  The ambient size
 itself is not capped: monomials are Python-int bitmasks, and the interval
 route is polynomial.
 
-``SUBSET_CAP_N`` caps every enumeration of the 2^n vertex subsets: the faces
-of the homology route, the faces of a complex whose homology is taken, and
-the candidate vertex covers.
+``SUBSET_CAP_N`` caps every enumeration of the 2^n vertex subsets (the faces
+of the homology route, the faces of a complex whose homology is taken) and
+the enumeration of minimal vertex covers.  The cover enumeration is
+output-sensitive, but the number of minimal covers can itself grow
+exponentially in n (on the length-2 path it grows like the Padovan
+numbers), so it keeps ``n <= 16``.
 """
 
 SUBSET_CAP_N = 16

@@ -27,6 +27,18 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _lex_less(a: int, b: int) -> bool:
+    """True iff the ascending index list of mask ``a`` sorts before that of ``b``.
+
+    This is the canonical order, compared without building the lists.  Below
+    the lowest bit where the masks differ, the lists agree.  The mask that
+    has that bit continues with it; the other continues with a larger index,
+    or ends there and is a prefix, which sorts first.
+    """
+    low = (a ^ b) & -(a ^ b)
+    return b > low if a & low else a < low
+
+
 @dataclass(frozen=True)
 class Monomial:
     """A squarefree monomial as a bitmask of 1-based variable indices."""
@@ -65,7 +77,7 @@ class Monomial:
 
     def __lt__(self, other: "Monomial") -> bool:
         # canonical order: lexicographic on sorted index lists
-        return self.vars < other.vars
+        return _lex_less(self.mask, other.mask)
 
     def __str__(self) -> str:
         return monomial_to_text(self)
@@ -89,12 +101,12 @@ class MonomialIdeal:
         for g in self.gens:
             if not g.fits(self.n):
                 raise ValueError(f"generator {g} does not fit ambient size {self.n}")
-        keys = [g.vars for g in self.gens]
-        if keys != sorted(keys):
-            raise ValueError("generators not in canonical order; use minimalize()")
-        if len(set(keys)) != len(keys):
-            raise ValueError("duplicate generators; use minimalize()")
         masks = [g.mask for g in self.gens]
+        neighbours = list(zip(masks, masks[1:]))
+        if not all(a == b or _lex_less(a, b) for a, b in neighbours):
+            raise ValueError("generators not in canonical order; use minimalize()")
+        if any(a == b for a, b in neighbours):
+            raise ValueError("duplicate generators; use minimalize()")
         for a in masks:
             for b in masks:
                 if a & b == a and a != b:
@@ -147,7 +159,9 @@ def minimalize(n: int, raw: Iterable[Monomial]) -> MonomialIdeal:
         The ideal with its unique set of minimal generators, canonically
         ordered.  An empty family yields the zero ideal.
     """
-    monomials = sorted(set(raw), key=lambda g: (g.degree, g.vars))
+    # kept is the set of minimal elements whatever the order within a degree,
+    # so only the kept generators need their index lists, once each
+    monomials = sorted(set(raw), key=lambda g: g.degree)
     for g in monomials:
         if not g.fits(n):
             raise ValueError(f"generator {g} does not fit ambient size {n}")

@@ -6,6 +6,12 @@ complement; a clutter in which every minor keeps a vertex lying in a
 single edge (the free vertex property) has a shellable cover complex,
 and shellable complexes are sequentially Cohen-Macaulay.  This module
 makes each link of that chain executable on desk-scale instances.
+
+The minimal covers are enumerated by a depth-first search whose cost
+follows their number, not the 2^n vertex subsets; the number of covers can
+still grow exponentially in n, so the enumeration keeps the subset cap.
+Minors are deduplicated on their canonical edge tuples before a
+``Clutter`` is built for a new one.
 """
 
 from __future__ import annotations
@@ -47,13 +53,7 @@ class Clutter:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[int]) -> "Clutter":
-        unique = sorted(set(edges), key=lambda e: e.bit_count())
-        kept: list[int] = []
-        for e in unique:
-            if not any(f & e == f for f in kept):
-                kept.append(e)
-        kept.sort(key=lambda e: tuple(iter_bits(e)))
-        return cls(n, tuple(kept))
+        return cls(n, _canonical_edges(edges))
 
     @property
     def support(self) -> int:
@@ -65,6 +65,17 @@ class Clutter:
     def __str__(self) -> str:
         body = ",".join("{" + ",".join(str(i) for i in iter_bits(e)) + "}" for e in self.edges)
         return f"n={self.n}; {body}"
+
+
+def _canonical_edges(edges: Iterable[int]) -> tuple[int, ...]:
+    """The inclusion-minimal edges, canonically sorted: a valid ``Clutter.edges``."""
+    unique = sorted(set(edges), key=lambda e: e.bit_count())
+    kept: list[int] = []
+    for e in unique:
+        if not any(f & e == f for f in kept):
+            kept.append(e)
+    kept.sort(key=lambda e: tuple(iter_bits(e)))
+    return tuple(kept)
 
 
 def clutter_from_text(text: str) -> Clutter:
@@ -92,27 +103,67 @@ def minimal_vertex_covers(clutter: Clutter, cap: int = SUBSET_CAP_N) -> tuple[in
     """All inclusion-minimal transversals, canonically ordered, as bitmasks.
 
     A cover is minimal iff each of its vertices has a private edge (an edge
-    it covers alone).
+    it covers alone).  The covers are found by the depth-first search of
+    Murakami and Uno (MMCS, 2014), whose cost follows the number of minimal
+    covers rather than the 2^n vertex subsets.  A node holds a partial
+    cover S, a candidate set CAND and the edges S misses.  It picks the
+    missed edge F with the fewest candidates, takes C = F & CAND out of
+    CAND, and for each v of C in turn searches below S + v when every
+    vertex of S + v has a private edge, then puts v back into CAND.  S is
+    emitted once it misses no edge.
+
+    Proof.  Every emitted S hits every edge and each of its vertices has a
+    private edge, so S is a minimal cover.  Conversely let T be a minimal
+    cover, and call a node *on the way to* T when S <= T <= S | CAND.  The
+    root (S empty, CAND all vertices) is on the way to T, and so is the
+    parent of any node on the way, since a child's S contains its parent's
+    S and its S | CAND lies inside its parent's.  At a node on the way with an edge F left, T
+    hits F, and F misses S, so T meets C = F & CAND.  Let v_j be the last
+    vertex of C, in the order tried, that lies in T.  The child for v_j has
+    CAND equal to the parent's CAND minus C plus v_1, ..., v_(j-1), so it
+    is on the way to T; no other child is, since the child for v_i with
+    i < j lacks v_j, and for i > j, v_i is not in T.  The child is not
+    pruned: private edges only shrink as S grows, so an edge e with
+    e & T = {u} has e & (S + v_j) = {u} for each u in S + v_j <= T.  Each
+    step adds a vertex of T, so the nodes on the way to T form one path
+    from the root, which ends at a node that misses no edge.  There S is a
+    cover inside T, so S = T by minimality, and T is emitted; any node that
+    emits T has S = T and is on that path.  So every minimal cover is
+    emitted exactly once.
     """
     if not clutter.edges:
         raise ValueError("cover enumeration requires at least one edge")
     if clutter.n > cap:
         raise CapExceeded(f"n={clutter.n} exceeds cap {cap}")
     edges = clutter.edges
-    covers = []
-    for a in range(1 << clutter.n):
-        if any(not a & e for e in edges):
-            continue
-        minimal = True
-        rest = a
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            if not any(e & a == bit for e in edges):
-                minimal = False
-                break
-        if minimal:
-            covers.append(a)
+    # bit i of hits[v - 1] is set when vertex v lies in edges[i]
+    hits = [0] * clutter.n
+    for i, e in enumerate(edges):
+        for v in iter_bits(e):
+            hits[v - 1] |= 1 << i
+    covers: list[int] = []
+
+    def search(cover: int, private: list[int], cand: int, missed: int) -> None:
+        # private[j] holds the edges (as bits over edge indices) that the
+        # j-th vertex of the cover hits alone
+        if not missed:
+            covers.append(cover)
+            return
+        edge = min(
+            (edges[i - 1] for i in iter_bits(missed)), key=lambda e: (e & cand).bit_count()
+        )
+        choices = edge & cand
+        cand &= ~choices
+        while choices:
+            bit = choices & -choices
+            choices ^= bit
+            hit = hits[bit.bit_length() - 1]
+            kept = [p & ~hit for p in private]
+            if all(kept):
+                search(cover | bit, kept + [missed & hit], cand, missed & ~hit)
+            cand |= bit
+
+    search(0, [], (1 << clutter.n) - 1, (1 << len(edges)) - 1)
     covers.sort(key=lambda a: tuple(iter_bits(a)))
     return tuple(covers)
 
@@ -195,6 +246,23 @@ def find_shelling(
 # ---------------------------------------------------------------------------
 
 
+def _minor_edges(
+    edges: tuple[int, ...], zeros: int, ones: int
+) -> Optional[tuple[int, ...]]:
+    """The canonical edges of a minor, or None when it is the zero or the unit ideal."""
+    new_edges = []
+    for e in edges:
+        if e & zeros:
+            continue
+        shrunk = e & ~ones
+        if shrunk == 0:
+            return None
+        new_edges.append(shrunk)
+    if not new_edges:
+        return None
+    return _canonical_edges(new_edges)
+
+
 def apply_assignment(clutter: Clutter, zeros: int, ones: int) -> Optional[Clutter]:
     """Set the ``zeros`` vertices to 0 and the ``ones`` vertices to 1.
 
@@ -205,25 +273,17 @@ def apply_assignment(clutter: Clutter, zeros: int, ones: int) -> Optional[Clutte
     """
     if zeros & ones:
         raise ValueError("a vertex cannot be set to both 0 and 1")
-    new_edges = []
-    for e in clutter.edges:
-        if e & zeros:
-            continue
-        shrunk = e & ~ones
-        if shrunk == 0:
-            return None
-        new_edges.append(shrunk)
-    if not new_edges:
-        return None
-    return Clutter.from_edges(clutter.n, new_edges)
+    edges = _minor_edges(clutter.edges, zeros, ones)
+    return None if edges is None else Clutter(clutter.n, edges)
 
 
 def minors(clutter: Clutter, cap: int = MINOR_CAP_N) -> Iterator[tuple[tuple[int, int], Clutter]]:
     """All distinct minors, each with one witnessing (zeros, ones) assignment.
 
     Enumerates the 3^v keep/0/1 assignments over the support vertices and
-    deduplicates on the resulting edge antichain; the identity assignment is
-    included, so the clutter itself is always yielded first.
+    deduplicates on the resulting edge antichain, building a ``Clutter`` only
+    for a new one; the identity assignment is included, so the clutter
+    itself is always yielded first.
     """
     support = list(iter_bits(clutter.support))
     if clutter.n > cap:
@@ -236,11 +296,11 @@ def minors(clutter: Clutter, cap: int = MINOR_CAP_N) -> Iterator[tuple[tuple[int
                 zeros |= 1 << (v - 1)
             elif c == 1:
                 ones |= 1 << (v - 1)
-        minor = apply_assignment(clutter, zeros, ones)
-        if minor is None or minor.edges in seen:
+        edges = _minor_edges(clutter.edges, zeros, ones)
+        if edges is None or edges in seen:
             continue
-        seen.add(minor.edges)
-        yield (zeros, ones), minor
+        seen.add(edges)
+        yield (zeros, ones), Clutter(clutter.n, edges)
 
 
 def has_free_vertex(clutter: Clutter) -> Optional[int]:

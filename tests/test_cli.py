@@ -184,6 +184,18 @@ def test_cert_skips_checks_beyond_the_cover_cap(capsys):
     assert "shelling_skipped" in payload and "seq_cm_skipped" in payload
 
 
+def test_cert_cover_complex_at_the_cover_cap(capsys):
+    code, out, _ = run(capsys, "cert", "--m", "2", "--l", "1", "--k", "15", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    # n = 16 is the cover cap: the complex is built, its 86 facets too many to shell
+    assert len(payload["facets"]) == 86
+    assert "cover_complex_skipped" not in payload
+    code, out, _ = run(capsys, "cert", "--m", "2", "--l", "1", "--k", "16", "--json")
+    assert code == 0
+    assert json.loads(out)["cover_complex_skipped"] == "n=17 exceeds cap 16"
+
+
 def test_cert_skips_free_vertex_check_of_large_non_interval_clutter(capsys):
     _, out, _ = run(capsys, "cert", "--clutter", "n=13; {1,3},{2,4}", "--json")
     payload = json.loads(out)

@@ -246,3 +246,17 @@ def test_strict_constructor_rejects_non_canonical():
         MonomialIdeal(3, (mono(2, 3), mono(1, 2)))
     with pytest.raises(ValueError):
         MonomialIdeal(3, (mono(1), mono(1, 2)))
+    with pytest.raises(ValueError, match="canonical order"):
+        MonomialIdeal(3, (mono(1, 2, 3), mono(1, 2)))
+    with pytest.raises(ValueError, match="duplicate"):
+        MonomialIdeal(3, (mono(1, 2), mono(1, 2), mono(2, 3)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(0, (1 << 12) - 1), max_size=8))
+def test_monomial_order_is_lexicographic_on_index_lists(masks):
+    monos = [Monomial(m) for m in masks]
+    assert sorted(monos) == sorted(monos, key=lambda g: g.vars)
+    for a in monos:
+        for b in monos:
+            assert (a < b) == (a.vars < b.vars)

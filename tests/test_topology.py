@@ -1,8 +1,11 @@
 """Clutters, covers, shellings, minors, free vertices, sequential CM."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathideal.betti import stanley_reisner_complex
 from pathideal.caps import CapExceeded
@@ -93,6 +96,65 @@ def test_minimal_covers_against_brute_force():
         assert sorted(minimal_vertex_covers(c)) == expected
 
 
+def covers_by_definition(c):
+    """Every transversal by a 2^n scan, kept when inclusion-minimal.  Transversals
+    are closed upwards, so a transversal is minimal iff dropping any one of its
+    vertices leaves a set that is not one."""
+    transversals = {a for a in range(1 << c.n) if all(a & e for e in c.edges)}
+    minimal = [a for a in transversals
+               if not any(a & ~(1 << (v - 1)) in transversals for v in iter_bits(a))]
+    return tuple(sorted(minimal, key=lambda a: tuple(iter_bits(a))))
+
+
+@st.composite
+def random_clutters(draw, n_max=10, max_edges=8):
+    n = draw(st.integers(1, n_max))
+    edges = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=max_edges))
+    return Clutter.from_edges(n, edges)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(random_clutters())
+def test_minimal_covers_match_definition(c):
+    assert minimal_vertex_covers(c) == covers_by_definition(c), str(c)
+
+
+def test_length_two_path_covers_follow_padovan():
+    counts = [len(minimal_vertex_covers(clutter_of(make_path_ideal(PathParams(2, 1, k)))))
+              for k in range(1, 16)]
+    assert counts == [2, 2, 3, 4, 5, 7, 9, 12, 16, 21, 28, 37, 49, 65, 86]
+    assert all(counts[i] == counts[i - 2] + counts[i - 3] for i in range(3, len(counts)))
+    # n = 17 is above the cover cap unless the caller raises it
+    beyond = clutter_of(make_path_ideal(PathParams(2, 1, 16)))
+    with pytest.raises(CapExceeded):
+        minimal_vertex_covers(beyond)
+    assert len(minimal_vertex_covers(beyond, cap=17)) == 65 + 49
+
+
+def path_family_clutters(n_max):
+    """The clutter of every path ideal (m, l, k) with n = k(m-l)+l <= n_max."""
+    out = []
+    for m in range(2, n_max + 1):
+        for l in range(1, m):
+            k = 1
+            while k * (m - l) + l <= n_max:
+                out.append(clutter_of(make_path_ideal(PathParams(m, l, k))))
+                k += 1
+    return out
+
+
+def test_path_family_covers_are_minimal_and_distinct():
+    clutters = path_family_clutters(16)
+    assert max(c.n for c in clutters) == 16
+    for c in clutters:
+        covers = minimal_vertex_covers(c)
+        assert len(set(covers)) == len(covers), str(c)
+        for a in covers:
+            assert all(a & e for e in c.edges), (str(c), a)
+            for v in iter_bits(a):
+                assert any(a & e == 1 << (v - 1) for e in c.edges), (str(c), a, v)
+
+
 def test_cover_complex_examples():
     got = cover_complex(PATH_L4)
     assert masks_to_sets(got.facets) == [{1, 3}, {1, 4}, {2, 4}]
@@ -176,6 +238,28 @@ def test_minors_include_identity_and_dedupe():
     assert seen[0][1] == C312
     edge_families = [m.edges for _, m in seen]
     assert len(edge_families) == len(set(edge_families))
+
+
+def test_minors_match_assignment_enumeration():
+    for c in [C312, PATH_L4, TRIANGLE, clutter(5, [1, 2], [2, 3, 4], [1, 5])]:
+        support = list(iter_bits(c.support))
+        expected, seen = [], set()
+        for choice in itertools.product((None, 0, 1), repeat=len(support)):
+            zeros = sum(1 << (v - 1) for v, x in zip(support, choice) if x == 0)
+            ones = sum(1 << (v - 1) for v, x in zip(support, choice) if x == 1)
+            minor = apply_assignment(c, zeros, ones)
+            if minor is not None and minor.edges not in seen:
+                seen.add(minor.edges)
+                expected.append(((zeros, ones), minor))
+        assert list(minors(c)) == expected
+
+
+def test_minors_build_one_clutter_per_distinct_minor(monkeypatch):
+    built = []
+    check = Clutter.__post_init__
+    monkeypatch.setattr(Clutter, "__post_init__", lambda self: built.append(self) or check(self))
+    found = list(minors(C312))
+    assert len(built) == len(found) == len(set(built))
 
 
 def test_has_free_vertex_examples():
