@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 from .caps import SUBSET_CAP_N, CapExceeded
 from .fields import FieldSpec, rank_sparse
-from .monomials import iter_bits
+from .monomials import _minimal_masks, iter_bits
 
 
 @dataclass(frozen=True)
@@ -31,21 +31,20 @@ class SimplicialComplex:
         keys = [tuple(iter_bits(f)) for f in self.facets]
         if keys != sorted(keys) or len(set(keys)) != len(keys):
             raise ValueError("facets not canonically sorted; use from_faces()")
-        for a in self.facets:
-            for b in self.facets:
-                if a != b and a & b == a:
-                    raise ValueError("facets are not an antichain; use from_faces()")
-            if a >> self.n:
-                raise ValueError("facet does not fit vertex count")
+        if len(_minimal_masks(self.facets)) != len(self.facets):
+            raise ValueError("facets are not an antichain; use from_faces()")
+        if any(a >> self.n for a in self.facets):
+            raise ValueError("facet does not fit vertex count")
 
     @classmethod
     def from_faces(cls, n: int, faces: Iterable[int]) -> "SimplicialComplex":
         """Build from any face family, keeping only the maximal ones."""
-        unique = sorted(set(faces), key=lambda f: f.bit_count(), reverse=True)
-        maximal: list[int] = []
+        unique = set(faces)
+        union = 0
         for f in unique:
-            if not any(f & g == f for g in maximal):
-                maximal.append(f)
+            union |= f
+        # complements within the union reverse inclusion
+        maximal = [union ^ m for m in _minimal_masks(union ^ f for f in unique)]
         maximal.sort(key=lambda f: tuple(iter_bits(f)))
         return cls(n, tuple(maximal))
 

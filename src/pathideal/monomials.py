@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterable, Iterator
 
 
@@ -37,6 +38,22 @@ def _lex_less(a: int, b: int) -> bool:
     """
     low = (a ^ b) & -(a ^ b)
     return b > low if a & low else a < low
+
+
+def _minimal_masks(masks: Iterable[int]) -> list[int]:
+    """The inclusion-minimal masks among ``masks``, each once, by increasing size.
+
+    Distinct masks of one size never lie inside each other (distinct
+    squarefree monomials of one degree never divide each other), so a mask
+    is compared only with the kept masks of smaller size: a family of one
+    size costs one pass.
+    """
+    kept: list[int] = []
+    for _, group in groupby(sorted(set(masks), key=int.bit_count), key=int.bit_count):
+        # the new group is filtered against the kept masks of smaller size
+        # before it joins them
+        kept += [m for m in group if not any(h & m == h for h in kept)]
+    return kept
 
 
 @dataclass(frozen=True)
@@ -107,10 +124,8 @@ class MonomialIdeal:
             raise ValueError("generators not in canonical order; use minimalize()")
         if any(a == b for a, b in neighbours):
             raise ValueError("duplicate generators; use minimalize()")
-        for a in masks:
-            for b in masks:
-                if a & b == a and a != b:
-                    raise ValueError("generators are not an antichain; use minimalize()")
+        if len(_minimal_masks(masks)) != len(masks):
+            raise ValueError("generators are not an antichain; use minimalize()")
 
     @property
     def is_zero(self) -> bool:
@@ -159,19 +174,13 @@ def minimalize(n: int, raw: Iterable[Monomial]) -> MonomialIdeal:
         The ideal with its unique set of minimal generators, canonically
         ordered.  An empty family yields the zero ideal.
     """
-    # kept is the set of minimal elements whatever the order within a degree,
-    # so only the kept generators need their index lists, once each
     monomials = sorted(set(raw), key=lambda g: g.degree)
     for g in monomials:
         if not g.fits(n):
             raise ValueError(f"generator {g} does not fit ambient size {n}")
-    kept: list[Monomial] = []
-    kept_masks: list[int] = []
-    for g in monomials:
-        m = g.mask
-        if not any(h & m == h for h in kept_masks):
-            kept.append(g)
-            kept_masks.append(m)
+    by_mask = {g.mask: g for g in monomials}
+    # only the kept generators need their index lists, once each
+    kept = [by_mask[m] for m in _minimal_masks(by_mask)]
     kept.sort(key=lambda g: g.vars)
     return MonomialIdeal(n, tuple(kept))
 

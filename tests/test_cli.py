@@ -210,6 +210,20 @@ def test_cert_triangle_fails(capsys):
     assert code == 1
 
 
+def test_cert_counterexample_survives_optimized_mode():
+    """Under ``python -O`` asserts vanish; the minor search's fallback must not."""
+    env = source_env()
+    for text, minor in [("n=3; {1,2},{2,3},{1,3}", "n=3; {1,2},{1,3},{2,3}"),
+                        ("n=4; {1,2},{1,3},{2,3},{3,4}", "n=4; {1,2},{1,3},{2,3}")]:
+        done = subprocess.run(
+            [sys.executable, "-O", "-m", "pathideal.cli", "cert", "--clutter", text],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert done.returncode == 1, done.stderr
+        assert "free vertex property: False [minor enumeration]\n" in done.stdout
+        assert f"  counterexample minor: {minor}\n" in done.stdout
+
+
 def test_open_problem_contains_spot_value(capsys):
     code, out, _ = run(capsys, "open-problem", "--n-max", "9", "--json")
     assert code == 0

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathideal.caps import CapExceeded
 from pathideal.complexes import (
@@ -101,6 +103,30 @@ def test_from_faces_keeps_maximal_only():
     assert got.facets == cx(3, [1, 2], [2, 3]).facets
     assert got.has_face(0b001)
     assert not got.has_face(0b101)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 8).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=10))))
+def test_from_faces_matches_brute_force_maximal(family):
+    n, faces = family
+    maximal = {f for f in faces if not any(g != f and f & g == f for g in faces)}
+    got = SimplicialComplex.from_faces(n, faces)
+    assert sorted(got.facets) == sorted(maximal)
+    assert SimplicialComplex(n, got.facets) == got
+
+
+def test_strict_constructor_rejects_non_canonical():
+    with pytest.raises(ValueError, match="antichain"):
+        SimplicialComplex(3, (0b011, 0b111))
+    with pytest.raises(ValueError, match="antichain"):
+        SimplicialComplex(3, (0b111, 0b100))  # the smaller facet sorts last
+    with pytest.raises(ValueError, match="canonically sorted"):
+        SimplicialComplex(3, (0b110, 0b011))
+    with pytest.raises(ValueError, match="does not fit"):
+        SimplicialComplex(2, (0b100,))
+    assert SimplicialComplex(2, (0,)).dim == -1
+    assert SimplicialComplex.from_faces(2, []).is_void
 
 
 def test_faces_enumeration():

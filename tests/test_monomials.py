@@ -70,6 +70,28 @@ def test_minimalize_idempotent_and_shuffle_insensitive():
         assert minimalize(n, shuffled) == base
 
 
+@st.composite
+def mixed_degree_families(draw, n_max=10):
+    """Families with repeats, mostly spread over several degrees; some contain 1."""
+    n = draw(st.integers(1, n_max))
+    masks = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=12))
+    # add multiples of drawn masks so that divisibility across degrees is common
+    extra = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=len(masks)))
+    return n, masks + [m | e for m, e in zip(masks, extra)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(mixed_degree_families())
+def test_minimalize_matches_brute_force_antichain(family):
+    n, masks = family
+    expected = sorted({m for m in masks
+                       if not any(h != m and h & m == h for h in masks)},
+                      key=lambda m: Monomial(m).vars)
+    got = minimalize(n, [Monomial(m) for m in masks])
+    assert got.gen_masks() == tuple(expected)
+    assert MonomialIdeal(n, got.gens) == got
+
+
 def test_minimalize_rejects_oversized_generator():
     with pytest.raises(ValueError):
         minimalize(3, [mono(4)])
@@ -250,6 +272,12 @@ def test_strict_constructor_rejects_non_canonical():
         MonomialIdeal(3, (mono(1, 2, 3), mono(1, 2)))
     with pytest.raises(ValueError, match="duplicate"):
         MonomialIdeal(3, (mono(1, 2), mono(1, 2), mono(2, 3)))
+    with pytest.raises(ValueError, match="antichain"):
+        MonomialIdeal(4, (mono(1, 2), mono(1, 2, 3), mono(4)))
+    with pytest.raises(ValueError, match="antichain"):
+        MonomialIdeal(4, (mono(1, 3, 4), mono(3)))  # the divisor sorts last
+    with pytest.raises(ValueError, match="antichain"):
+        MonomialIdeal(2, (Monomial(0), mono(1)))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

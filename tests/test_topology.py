@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from pathideal.betti import stanley_reisner_complex
 from pathideal.caps import CapExceeded
-from pathideal.complexes import SimplicialComplex
-from pathideal.fields import GF2, QQ
+from pathideal import complexes, topology
+from pathideal.complexes import SimplicialComplex, homology_dims_of_faces
+from pathideal.fields import GF2, QQ, FieldSpec
 from pathideal.monomials import Monomial, ideal_from_text, iter_bits, minimalize
 from pathideal.pathfamily import PathParams, make_path_ideal
 from pathideal.topology import (
@@ -62,6 +63,18 @@ def test_clutter_of_examples():
     assert masks_to_sets(clutter_of(ideal_from_text("n=4; (x1*x2*x3*x4)")).edges) == [
         {1, 2, 3, 4}
     ]
+
+
+def test_clutter_constructor_rejects_non_canonical():
+    with pytest.raises(ValueError, match="antichain"):
+        Clutter(3, (0b001, 0b011))
+    with pytest.raises(ValueError, match="antichain"):
+        Clutter(3, (0b111, 0b010))  # the smaller edge sorts last
+    with pytest.raises(ValueError, match="canonically sorted"):
+        Clutter(3, (0b110, 0b011))
+    with pytest.raises(ValueError, match="empty or outside"):
+        Clutter(2, (0b100,))
+    assert Clutter(4, (0b0011, 0b0110, 0b1100)).edges == (0b0011, 0b0110, 0b1100)
 
 
 def test_clutter_text_roundtrip():
@@ -266,6 +279,7 @@ def test_has_free_vertex_examples():
     assert has_free_vertex(C312) == 1
     assert has_free_vertex(TRIANGLE) is None
     assert has_free_vertex(clutter(4, [2, 3])) == 2
+    assert has_free_vertex(clutter(5, [1, 2], [1, 3], [2, 3], [3, 5])) == 5
 
 
 def test_free_vertex_property_examples():
@@ -275,6 +289,69 @@ def test_free_vertex_property_examples():
     assert not ok and counterexample == TRIANGLE
     ok, _ = free_vertex_property(PATH_L4)
     assert ok
+
+
+def free_vertices_by_count(c):
+    """The vertices lying in exactly one edge, by counting."""
+    counts = {}
+    for e in c.edges:
+        for v in iter_bits(e):
+            counts[v] = counts.get(v, 0) + 1
+    return sorted(v for v, k in counts.items() if k == 1)
+
+
+def free_vertex_property_by_walk(c):
+    """The first minor of the assignment walk without a free vertex."""
+    for _, minor in minors(c):
+        if not free_vertices_by_count(minor):
+            return False, minor
+    return True, None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(random_clutters(n_max=8, max_edges=7))
+def test_free_vertex_property_matches_assignment_walk(c):
+    assert free_vertex_property(c) == free_vertex_property_by_walk(c), str(c)
+    free = free_vertices_by_count(c)
+    assert has_free_vertex(c) == (free[0] if free else None)
+
+
+def test_free_vertex_property_fails_on_random_clutters():
+    # the property test above must meet failures, with counterexamples other
+    # than the clutter itself
+    rng = random.Random(14)
+    proper_minor = 0
+    for _ in range(300):
+        n = rng.randint(3, 7)
+        c = Clutter.from_edges(n, [rng.randint(1, (1 << n) - 1) for _ in range(rng.randint(2, 6))])
+        ok, counterexample = free_vertex_property(c)
+        assert (ok, counterexample) == free_vertex_property_by_walk(c), str(c)
+        proper_minor += not ok and counterexample != c
+    assert proper_minor > 5
+
+
+def test_passing_free_vertex_property_walks_no_assignments(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise RuntimeError("minors called")
+
+    monkeypatch.setattr(topology, "minors", refuse)
+    for c in [C312, PATH_L4, clutter(4, [1, 2], [3, 4])] + path_family_clutters(9):
+        assert free_vertex_property(c) == (True, None), str(c)
+    with pytest.raises(RuntimeError, match="minors called"):
+        free_vertex_property(TRIANGLE)  # the counterexample comes from the walk
+
+
+def test_free_vertex_search_disagreeing_with_the_walk_raises(monkeypatch):
+    # the fallback is a RuntimeError, so it survives python -O
+    monkeypatch.setattr(topology, "_minors_have_free_vertices", lambda edges: False)
+    with pytest.raises(RuntimeError, match="disagree"):
+        free_vertex_property(C312)
+
+
+def test_free_vertex_property_checks_the_cap():
+    with pytest.raises(CapExceeded):
+        free_vertex_property(clutter(13, [1, 2]))
+    assert free_vertex_property(clutter(13, [1, 2]), cap=13) == (True, None)
 
 
 def test_free_vertex_property_closed_under_minors():
@@ -330,6 +407,87 @@ def test_seq_cm_examples():
     assert is_sequentially_cm(points, GF2)
     disjoint = SimplicialComplex.from_faces(4, [0b0011, 0b1100])
     assert not is_sequentially_cm(disjoint, GF2)
+
+
+def projective_plane():
+    """The 6-vertex triangulation of the real projective plane: its reduced
+    homology is GF(2) in dimensions 1 and 2 and zero over QQ and GF(3)."""
+    triangles = [
+        (1, 2, 5), (1, 2, 6), (1, 3, 4), (1, 3, 6), (1, 4, 5),
+        (2, 3, 4), (2, 3, 5), (2, 4, 6), (3, 5, 6), (4, 5, 6),
+    ]
+    return SimplicialComplex.from_faces(6, [Monomial.from_vars(t).mask for t in triangles])
+
+
+def test_seq_cm_depends_on_the_field():
+    # pure, so sequentially CM is CM; vertex links are 5-cycles, edge links
+    # two points, and the whole complex is acyclic except over GF(2)
+    rp2 = projective_plane()
+    assert is_sequentially_cm(rp2, QQ)
+    assert is_sequentially_cm(rp2, FieldSpec(3))
+    assert not is_sequentially_cm(rp2, GF2)
+
+
+def sequentially_cm_by_link_complexes(cx, field):
+    """Duval's skeleton criterion with one chain complex per link."""
+    faces = cx.faces()
+    for i in range(cx.dim + 1):
+        skeleton = SimplicialComplex.from_faces(
+            cx.n, [f for f in faces if f.bit_count() == i + 1]).faces()
+        for sigma in skeleton:
+            link = [t & ~sigma for t in skeleton if t & sigma == 0 and t | sigma in skeleton]
+            top = max(t.bit_count() for t in link) - 1
+            dims = homology_dims_of_faces(link, field)
+            if any(h for d, h in dims.items() if d < top):
+                return False
+    return True
+
+
+@st.composite
+def random_graph_cover_complexes(draw, n_max=9):
+    n = draw(st.integers(2, n_max))
+    pairs = [(1 << a) | (1 << b) for a in range(n) for b in range(a + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=12))
+    return cover_complex(Clutter.from_edges(n, edges))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(random_graph_cover_complexes())
+def test_seq_cm_matches_link_complexes(cx):
+    for field in (GF2, FieldSpec(3), QQ):
+        assert is_sequentially_cm(cx, field) == sequentially_cm_by_link_complexes(cx, field), (
+            str(cx), field)
+
+
+def test_seq_cm_matches_link_complexes_on_failures():
+    # the property test above must meet complexes that are not sequentially CM
+    cxs = [projective_plane(), SimplicialComplex.from_faces(4, [0b0011, 0b1100]),
+           cover_complex(clutter(6, [1, 2], [3, 4], [5, 6], [1, 3]))]
+    rng = random.Random(15)
+    while len(cxs) < 20:
+        n = rng.randint(4, 8)
+        pairs = [(1 << a) | (1 << b) for a in range(n) for b in range(a + 1, n)]
+        cx = cover_complex(Clutter.from_edges(n, rng.sample(pairs, rng.randint(2, min(8, len(pairs))))))
+        if not is_sequentially_cm(cx, QQ):
+            cxs.append(cx)
+    for cx in cxs:
+        for field in (GF2, FieldSpec(3), QQ):
+            assert is_sequentially_cm(cx, field) == sequentially_cm_by_link_complexes(cx, field)
+
+
+def test_seq_cm_builds_no_chain_complex(monkeypatch):
+    cxs = [projective_plane(), cover_complex(C312), cover_complex(PATH_L4),
+           SimplicialComplex.from_faces(4, [0b0011, 0b1100])]
+    fields = (GF2, FieldSpec(3), QQ)
+    expected = [[is_sequentially_cm(cx, field) for field in fields] for cx in cxs]
+
+    def refuse(faces):
+        raise RuntimeError("chain_complex_of_faces called")
+
+    monkeypatch.setattr(complexes, "chain_complex_of_faces", refuse)
+    with pytest.raises(RuntimeError):
+        complexes.homology_dims_of_faces([0, 1], GF2)  # the patch reaches homology
+    assert [[is_sequentially_cm(cx, field) for field in fields] for cx in cxs] == expected
 
 
 def test_seq_cm_cap():
