@@ -8,7 +8,6 @@ from .betti import (
     betti_taylor_tor,
     depth_of,
     invariants_of,
-    stanley_reisner_complex,
 )
 from .caps import CapExceeded
 from .complexes import SimplicialComplex, reduced_homology_dims

@@ -14,19 +14,28 @@ All routes produce the table of the ideal (not of the quotient ring):
 
 The first two are exponential and independent of each other: their
 agreement on a shared instance is the core anti-bug check of the package,
-and nothing in their inner loops is shared beyond the exact rank
-primitives.  The interval route is polynomial and is always checked
-against them, never used as an oracle for itself.
+and nothing in their inner loops is shared beyond the exact column
+reducers of ``fields``.  The interval route is polynomial and is always
+checked against them, never used as an oracle for itself.
+
+The combinatorial route restricts the faces to each W with per-vertex
+bitmasks and reduces the boundary matrices from the top size down with
+clearing: the faces that are pivot rows one size up are skipped, as their
+columns are proven to reduce to zero (see ``betti_hochster``).  The
+algebraic route ranks every column, so ``--method both`` checks a cleared
+computation against an uncleared one and a fault in the clearing cannot
+hide in both routes at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Mapping, Optional
 
 from .caps import SUBSET_CAP_N, TAYLOR_CAP_K, CapExceeded
-from .complexes import ChainComplex, SimplicialComplex
-from .fields import GF2, FieldSpec, rank_gf2, rank_sparse
+from .complexes import ChainComplex
+from .fields import GF2, FieldSpec, pivots_gf2, pivots_gfp, pivots_qq, rank_sparse
 from .monomials import MonomialIdeal
 
 
@@ -103,8 +112,8 @@ def invariants_of(table: BettiTable) -> Invariants:
     """Projective dimension and regularity read off a nonempty table."""
     if not table:
         raise ValueError("empty Betti table has no invariants")
-    items = table.items_sorted()
-    return Invariants(pd=max(i for i, _, _ in items), reg=max(j - i for i, j, _ in items))
+    keys = table._entries
+    return Invariants(pd=max(i for i, _ in keys), reg=max(j - i for i, j in keys))
 
 
 def depth_of(ideal: MonomialIdeal, table: BettiTable) -> Depths:
@@ -142,25 +151,6 @@ def _require_face_masks_fit(n: int, cap: int) -> None:
         raise CapExceeded(f"n={n} exceeds cap {cap}")
 
 
-def stanley_reisner_complex(ideal: MonomialIdeal, cap: int = SUBSET_CAP_N) -> SimplicialComplex:
-    """The complex whose faces are the variable subsets containing no generator."""
-    _require_proper_nonzero(ideal)
-    _require_face_masks_fit(ideal.n, cap)
-    faces = set(_face_masks(ideal.n, ideal.gen_masks()))
-    # f is a facet iff adding any missing vertex leaves the complex
-    facets = []
-    for f in faces:
-        maximal = True
-        for v in range(ideal.n):
-            bit = 1 << v
-            if not f & bit and (f | bit) in faces:
-                maximal = False
-                break
-        if maximal:
-            facets.append(f)
-    return SimplicialComplex.from_faces(ideal.n, facets)
-
-
 def _union_closure(gen_masks: Iterable[int]) -> list[int]:
     """All distinct unions of subfamilies of the generator supports."""
     unions = {0}
@@ -196,13 +186,38 @@ def betti_hochster(
 
     The faces of Delta are enumerated once, each with a row index within
     its size, and the boundary column of each face is built once in those
-    indices (a bitmask over GF(2), sparse +-1 entries otherwise).  For a
+    indices (a bitmask over GF(2), a dict row -> entry otherwise).  For a
     subset W the columns of the faces inside W are exactly the boundary
     matrices of Delta_W: every term of the boundary of a face inside W is a
     face inside W, so the rows of the faces outside W are zero in the kept
     columns.  Rank depends neither on how rows are numbered nor on zero
     rows, so each rank of the augmented chain complex of Delta_W is the
     rank of its kept columns.
+
+    Restriction.  For each size g and vertex v a bitmask over the faces of
+    size g marks those that contain v.  The faces of size g inside W are
+    all faces of size g but those marked for a vertex outside W, one
+    AND-NOT per outside vertex, and only their set bits are walked.
+
+    Clearing.  The boundary matrices of Delta_W are reduced from the
+    largest face size down, and the reduction of d_g (faces of size g to
+    faces of size g - 1) skips every face of size g that is the pivot row
+    of a reduced column of d_{g+1}.  This leaves rank d_g unchanged over
+    every field.  Proof: the reducer pivots each column on its largest
+    row.  A reduced column z of d_{g+1} is a combination of columns of
+    d_{g+1}, so d_g z = 0; its entries lie on faces inside W, and its pivot
+    sigma is the one of largest index, with a nonzero entry.  Solving
+    d_g z = 0 for the column of sigma writes it as a combination of the
+    columns of d_g of faces inside W of smaller index.  Drop the cleared
+    columns from the largest index down: each, when dropped, is a
+    combination of columns of smaller index, none of which is dropped yet,
+    so no drop changes the column space.  The skipped columns would have
+    reduced to zero anyway; skipping them saves that work, and the rows
+    they would have pivoted are read off the reducer's pivot dict.
+
+    Only this route clears.  The strand route and the links of the
+    sequential Cohen-Macaulay test rank every column, so ``--method both``
+    compares a cleared computation against an uncleared one.
     """
     _require_proper_nonzero(ideal)
     n = ideal.n
@@ -212,48 +227,78 @@ def betti_hochster(
     for f in _face_masks(n, gen_masks):
         faces_by_size[f.bit_count()].append(f)
     row = {f: r for faces in faces_by_size for r, f in enumerate(faces)}
-    gf2 = field.p == 2
-    # cells[g]: (face, boundary column) for the faces of size g >= 1; the
-    # boundary of f is the sum of (-1)^pos (f minus its pos-th vertex)
-    cells: list[list[tuple[int, int | list[tuple[int, int]]]]] = [[]]
+    p = field.p
+    if p == 2:
+        reduce = pivots_gf2
+    elif p:
+        reduce = partial(pivots_gfp, p=p)
+    else:
+        reduce = pivots_qq
+    minus = p - 1 if p else -1
+    # columns[g][r]: boundary column of the face f of size g >= 1 in row r,
+    # the sum of (-1)^pos (f minus its pos-th vertex); every[g]: all rows of
+    # size g; keep[g][v]: the rows of size g whose face misses vertex v
+    columns: list[list] = [[]]
+    every = [1]
+    keep: list[list[int]] = [[]]
     for faces in faces_by_size[1:]:
         if not faces:
             break
         sized = []
-        for f in faces:
+        holding = [0] * n
+        for r, f in enumerate(faces):
             terms = []
             rest = f
             while rest:
                 low = rest & -rest
                 terms.append(row[f ^ low])
+                holding[low.bit_length() - 1] |= 1 << r
                 rest ^= low
-            if gf2:
-                column: int | list[tuple[int, int]] = sum(1 << r for r in terms)
+            if p == 2:
+                sized.append(sum(1 << t for t in terms))
             else:
-                column = [(r, -1 if pos % 2 else 1) for pos, r in enumerate(terms)]
-            sized.append((f, column))
-        cells.append(sized)
+                sized.append({t: minus if pos % 2 else 1 for pos, t in enumerate(terms)})
+        columns.append(sized)
+        every.append((1 << len(faces)) - 1)
+        keep.append([every[-1] & ~held for held in holding])
     if prune_cones:
         candidates = _union_closure(gen_masks)
     else:
         candidates = list(range(1, 1 << n))
     entries: dict[tuple[int, int], int] = {}
     for w in candidates:
-        # sizes[g] and ranks[g]: faces of size g in W, rank of their boundary
-        sizes, ranks = [1], [0]
-        for g in range(1, len(cells)):
-            cols = [c for f, c in cells[g] if f & w == f]
-            if not cols:
+        outside = [v for v in range(n) if not w >> v & 1]
+        # inside[g]: rows of the faces of size g inside W, up to the largest
+        # size that has one; the empty face is row 0 of size 0
+        inside = [1]
+        for g in range(1, len(columns)):
+            rows = every[g]
+            kept = keep[g]
+            for v in outside:
+                rows &= kept[v]
+            if not rows:
                 break
-            sizes.append(len(cols))
-            if gf2:
-                ranks.append(rank_gf2(cols))
-            else:
-                ranks.append(rank_sparse(cols, len(faces_by_size[g - 1]), field))
-        ranks.append(0)
+            inside.append(rows)
+        # ranks[g]: rank of the boundary of the faces of size g in W
+        top = len(inside) - 1
+        ranks = [0] * (top + 2)
+        cleared = 0
+        for g in range(top, 0, -1):
+            rows = inside[g] & ~cleared
+            sized = columns[g]
+            cols = []
+            while rows:
+                low = rows & -rows
+                cols.append(sized[low.bit_length() - 1])
+                rows ^= low
+            pivots = reduce(cols)
+            ranks[g] = len(pivots)
+            cleared = 0
+            for h in pivots:
+                cleared |= 1 << h
         j = w.bit_count()
-        for g, size in enumerate(sizes):
-            h = size - ranks[g] - ranks[g + 1]
+        for g, rows in enumerate(inside):
+            h = rows.bit_count() - ranks[g] - ranks[g + 1]
             i = j - g - 1  # faces of size g have dimension g - 1
             if h and i >= 0:
                 entries[(i, j)] = entries.get((i, j), 0) + h

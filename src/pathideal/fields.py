@@ -1,9 +1,12 @@
 """Exact rank computation over GF(2), GF(p) and the rationals.
 
 Matrices arrive as sparse integer columns ``[(row, coeff), ...]``, which is
-how boundary matrices are produced, and one column reduction serves every
-field: a column is reduced against earlier pivot columns, always on its
-largest row index, until it vanishes or starts a new pivot.
+how boundary matrices are produced, and the same column reduction serves
+every field: a column is reduced against earlier pivot columns, always on its
+largest row index, until it vanishes or starts a new pivot.  There is one
+reducer per field; each returns the pivot columns keyed by their largest
+row, so the rank is the number of pivots, and a caller can also read which
+rows are pivots (the Hochster route skips columns with them).
 
 * GF(2) — columns are Python-int bitmasks, so a reduction step is one XOR.
 * GF(p), p an odd prime below 2^16 — dict columns with entries mod p.
@@ -15,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 SparseColumn = Sequence[tuple[int, int]]
 
@@ -70,35 +73,101 @@ def parse_field(text: str) -> FieldSpec:
 # ---------------------------------------------------------------------------
 
 
-def rank_gf2(column_masks: Sequence[int]) -> int:
-    """Rank over GF(2) of a matrix given by column bitmasks."""
+def pivots_gf2(column_masks: Iterable[int]) -> dict[int, int]:
+    """Column reduction over GF(2) of a matrix given by column bitmasks.
+
+    Each column is reduced against the pivot columns found so far, always on
+    its largest row, until it vanishes or its largest row has no pivot yet;
+    it then becomes that row's pivot.  Returns the pivot columns keyed by
+    their largest row; there is one per unit of rank.
+    """
     pivots: dict[int, int] = {}
-    rank = 0
     for v in column_masks:
         while v:
             h = v.bit_length() - 1
             w = pivots.get(h)
             if w is None:
                 pivots[h] = v
-                rank += 1
                 break
             v ^= w
-    return rank
+    return pivots
+
+
+def pivots_gfp(columns: Iterable[Mapping[int, int]], p: int) -> dict[int, dict[int, int]]:
+    """Column reduction over GF(p), p odd, as :func:`pivots_gf2` does it.
+
+    Columns are dicts row -> entry with entries in 1..p-1; they are not
+    changed.  A pivot is scaled to leading entry 1.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for col in columns:
+        v = dict(col)
+        while v:
+            h = max(v)
+            w = pivots.get(h)
+            if w is None:
+                if v[h] != 1:
+                    inv = pow(v[h], -1, p)
+                    v = {row: c * inv % p for row, c in v.items()}
+                pivots[h] = v
+                break
+            c = v[h]
+            for row, x in w.items():
+                y = (v.get(row, 0) - c * x) % p
+                if y:
+                    v[row] = y
+                else:
+                    del v[row]
+    return pivots
+
+
+def pivots_qq(columns: Iterable[Mapping[int, int]]) -> dict[int, dict[int, int]]:
+    """Column reduction over the rationals, as :func:`pivots_gf2` does it.
+
+    Columns are dicts row -> nonzero Python int; they are not changed.  The
+    reduction is fraction-free: a step multiplies the column by the pivot's
+    leading entry and subtracts a multiple of the pivot (both factors divided
+    by their gcd), and a new pivot column is divided by the gcd of its
+    entries.  Python ints do not overflow, so no guard is needed.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for col in columns:
+        v = dict(col)
+        while v:
+            h = max(v)
+            w = pivots.get(h)
+            if w is None:
+                g = gcd(*v.values())
+                if g != 1:
+                    v = {row: c // g for row, c in v.items()}
+                pivots[h] = v
+                break
+            a, c = w[h], v[h]
+            g = gcd(a, c)
+            a, c = a // g, c // g
+            if a != 1:
+                v = {row: a * x for row, x in v.items()}
+            for row, x in w.items():
+                y = v.get(row, 0) - c * x
+                if y:
+                    v[row] = y
+                else:
+                    del v[row]
+    return pivots
+
+
+def rank_gf2(column_masks: Sequence[int]) -> int:
+    """Rank over GF(2) of a matrix given by column bitmasks."""
+    return len(pivots_gf2(column_masks))
 
 
 def rank_sparse(columns: Sequence[SparseColumn], nrows: int, field: FieldSpec) -> int:
     """Rank of a matrix given by sparse integer columns.
 
-    Entries of a column that share a row are summed.  Over GF(2) the columns
-    become bitmasks for :func:`rank_gf2`.  Otherwise each column, a dict
-    row -> entry, is reduced against the pivot columns found so far,
-    pivoting on its largest row index as :func:`rank_gf2` does, until it
-    vanishes or its largest row has no pivot yet; it then becomes that row's
-    pivot.  Over GF(p) entries are kept mod p and a pivot is scaled to
-    leading entry 1.  Over QQ the reduction is fraction-free on Python ints:
-    a step multiplies the column by the pivot's leading entry and subtracts
-    a multiple of the pivot (both factors divided by their gcd), and a new
-    pivot column is divided by the gcd of its entries.
+    Entries of a column that share a row are summed and reduced into the
+    field; the columns then go to the reducer of the field:
+    :func:`pivots_gf2` as bitmasks, :func:`pivots_gfp` or :func:`pivots_qq`
+    as dicts row -> entry.
     """
     if nrows == 0 or not columns:
         return 0
@@ -111,39 +180,14 @@ def rank_sparse(columns: Sequence[SparseColumn], nrows: int, field: FieldSpec) -
                 if coeff % 2:
                     mask ^= 1 << row
             masks.append(mask)
-        return rank_gf2(masks)
-    pivots: dict[int, dict[int, int]] = {}
+        return len(pivots_gf2(masks))
+    dicts = []
     for col in columns:
         v: dict[int, int] = {}
         for row, coeff in col:
             v[row] = v.get(row, 0) + coeff
         if p:
-            v = {row: c % p for row, c in v.items() if c % p}
+            dicts.append({row: c % p for row, c in v.items() if c % p})
         else:
-            v = {row: c for row, c in v.items() if c}
-        while v:
-            h = max(v)
-            w = pivots.get(h)
-            if w is None:
-                if p:
-                    inv = pow(v[h], -1, p)
-                    pivots[h] = {row: c * inv % p for row, c in v.items()}
-                else:
-                    g = gcd(*v.values())
-                    pivots[h] = {row: c // g for row, c in v.items()}
-                break
-            a, c = w[h], v[h]  # a == 1 over GF(p)
-            if not p:
-                g = gcd(a, c)
-                a, c = a // g, c // g
-            if a != 1:
-                v = {row: a * x for row, x in v.items()}
-            for row, x in w.items():
-                y = v.get(row, 0) - c * x
-                if p:
-                    y %= p
-                if y:
-                    v[row] = y
-                else:
-                    del v[row]
-    return len(pivots)
+            dicts.append({row: c for row, c in v.items() if c})
+    return len(pivots_gfp(dicts, p) if p else pivots_qq(dicts))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cmp_to_key
 from itertools import groupby
 from typing import Iterable, Iterator
 
@@ -179,10 +180,12 @@ def minimalize(n: int, raw: Iterable[Monomial]) -> MonomialIdeal:
         if not g.fits(n):
             raise ValueError(f"generator {g} does not fit ambient size {n}")
     by_mask = {g.mask: g for g in monomials}
-    # only the kept generators need their index lists, once each
-    kept = [by_mask[m] for m in _minimal_masks(by_mask)]
-    kept.sort(key=lambda g: g.vars)
-    return MonomialIdeal(n, tuple(kept))
+    # increasing masks are often already in canonical order (the intervals
+    # of a path ideal are); only a list that is not gets the comparison sort
+    kept = sorted(_minimal_masks(by_mask))
+    if not all(_lex_less(a, b) for a, b in zip(kept, kept[1:])):
+        kept.sort(key=cmp_to_key(lambda a, b: -1 if _lex_less(a, b) else 1))
+    return MonomialIdeal(n, tuple(by_mask[m] for m in kept))
 
 
 def contains(ideal: MonomialIdeal, m: Monomial) -> bool:

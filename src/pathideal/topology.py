@@ -435,7 +435,8 @@ def _links_acyclic_below_top(faces: set[int], field: FieldSpec) -> bool:
 
     The boundary column of every face is built once, numbered within face
     sizes as in ``betti.betti_hochster``: a bitmask over GF(2), sparse +-1
-    entries otherwise.  The link of sigma, the faces tau missing sigma with
+    entries otherwise.  Unlike that route, every column is ranked; no
+    column is skipped by clearing.  The link of sigma, the faces tau missing sigma with
     tau | sigma a face, is read off the faces rho containing sigma: keep
     their columns, restricted to the rows of faces containing sigma.
 

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import pathideal.betti
+import pathideal.fields
 from pathideal.betti import (
     BettiTable,
     _intervals,
@@ -15,11 +17,10 @@ from pathideal.betti import (
     betti_taylor_tor,
     depth_of,
     invariants_of,
-    stanley_reisner_complex,
 )
 from pathideal.caps import CapExceeded
 from pathideal.complexes import SimplicialComplex
-from pathideal.fields import GF2, QQ, FieldSpec
+from pathideal.fields import GF2, QQ, FieldSpec, rank_sparse
 from pathideal.monomials import (
     Monomial,
     MonomialIdeal,
@@ -33,6 +34,8 @@ from pathideal.pathfamily import (
     make_full_path_ideal,
     make_path_ideal,
 )
+
+from oracles import stanley_reisner_complex
 
 
 def table(entries):
@@ -192,6 +195,98 @@ def test_hochster_builds_no_chain_complex(monkeypatch):
     with pytest.raises(RuntimeError):
         complexes.homology_dims_of_faces([0, 1], GF2)  # the patch reaches homology
     assert [betti_hochster(ideal, field) for field in fields] == expected
+
+
+def induced_boundaries(gen_masks, w):
+    """Faces of the induced subcomplex on W by size, and the full boundary
+    columns [(row, sign), ...] of the faces of each size >= 1."""
+    faces = []
+    f = w
+    while True:
+        if all(f & g != g for g in gen_masks):
+            faces.append(f)
+        if not f:
+            break
+        f = (f - 1) & w
+    by_size = [sorted(f for f in faces if f.bit_count() == g) for g in range(w.bit_count() + 1)]
+    while not by_size[-1]:
+        by_size.pop()
+    row = {f: r for sized in by_size for r, f in enumerate(sized)}
+    boundaries = [[]]
+    for sized in by_size[1:]:
+        boundaries.append([
+            [(row[f & ~(1 << v)], (-1) ** pos)
+             for pos, v in enumerate(v for v in range(f.bit_length()) if f >> v & 1)]
+            for f in sized
+        ])
+    return by_size, boundaries
+
+
+def hochster_without_clearing(ideal, field):
+    """Hochster's formula summed over every nonempty W, each induced
+    subcomplex built from scratch and all its boundary columns ranked."""
+    gens = ideal.gen_masks()
+    entries = {}
+    for w in range(1, 1 << ideal.n):
+        by_size, boundaries = induced_boundaries(gens, w)
+        ranks = [0] + [
+            rank_sparse(boundaries[g], len(by_size[g - 1]), field)
+            for g in range(1, len(by_size))
+        ] + [0]
+        j = w.bit_count()
+        for g, sized in enumerate(by_size):
+            h = len(sized) - ranks[g] - ranks[g + 1]
+            if h and j - g - 1 >= 0:
+                entries[(j - g - 1, j)] = entries.get((j - g - 1, j), 0) + h
+    return BettiTable(entries)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(non_interval_ideals())
+def test_hochster_equals_a_clearing_free_oracle(ideal):
+    for field in (GF2, FieldSpec(3), QQ):
+        expected = hochster_without_clearing(ideal, field)
+        for prune in (True, False):
+            assert betti_hochster(ideal, field, prune_cones=prune) == expected, (
+                str(ideal),
+                field.label,
+                prune,
+            )
+
+
+def test_clearing_skips_exactly_the_pivot_faces(monkeypatch):
+    """The reducers receive the faces of each visited W but the pivot rows
+    of the boundary one size up, and that is fewer than all the faces."""
+    for ideal in (projective_plane_ideal(), make_path_ideal(PathParams(3, 1, 4))):
+        gens = ideal.gen_masks()
+        # with cone pruning the visited W are the unions of generator supports
+        visited = {0}
+        for g in gens:
+            visited |= {w | g for w in visited}
+        visited.discard(0)
+        for field, name in ((GF2, "pivots_gf2"), (FieldSpec(3), "pivots_gfp"), (QQ, "pivots_qq")):
+            faces = skipped = 0
+            for w in visited:
+                by_size, boundaries = induced_boundaries(gens, w)
+                faces += sum(len(sized) for sized in by_size[1:])
+                skipped += sum(
+                    rank_sparse(boundaries[g], len(by_size[g - 1]), field)
+                    for g in range(2, len(by_size))
+                )
+            received = []
+            original = getattr(pathideal.fields, name)
+
+            def counting(columns, *args, **kwargs):
+                columns = list(columns)
+                received.append(len(columns))
+                return original(columns, *args, **kwargs)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(pathideal.betti, name, counting)
+                got = betti_hochster(ideal, field)
+            assert got == betti_taylor_tor(ideal, field)
+            assert sum(received) == faces - skipped, (str(ideal), field.label)
+            assert skipped > 0 and sum(received) < faces
 
 
 def test_generator_row_matches_degree_histogram():

@@ -12,6 +12,9 @@ from pathideal.fields import (
     QQ,
     FieldSpec,
     parse_field,
+    pivots_gf2,
+    pivots_gfp,
+    pivots_qq,
     rank_gf2,
     rank_sparse,
 )
@@ -194,3 +197,63 @@ def test_rank_sparse_equals_reference_property(matrix):
     dense = dense_of(columns, nrows)
     for field in FIELDS:
         assert rank_sparse(columns, nrows, field) == reference_rank(dense, field.p)
+
+
+def reference_pivot_rows(matrix, p=None):
+    """Rows of the lowest nonzero entries of the columns of a left-to-right
+    column reduction with Fractions (or naive mod p), the slow oracle.
+
+    A column is reduced while its lowest (largest-row) nonzero entry is the
+    lowest entry of an earlier reduced column; the set of these rows does not
+    depend on how the reduction is carried out.
+    """
+    nrows = len(matrix)
+    lowest: dict[int, list] = {}
+    for c in range(len(matrix[0]) if matrix else 0):
+        col = [Fraction(matrix[r][c]) if p is None else matrix[r][c] % p for r in range(nrows)]
+        while any(col):
+            low = max(r for r in range(nrows) if col[r])
+            pivot = lowest.get(low)
+            if pivot is None:
+                lowest[low] = col
+                break
+            if p is None:
+                factor = col[low] / pivot[low]
+                col = [a - factor * b for a, b in zip(col, pivot)]
+            else:
+                factor = col[low] * pow(pivot[low], p - 2, p)
+                col = [(a - factor * b) % p for a, b in zip(col, pivot)]
+    return set(lowest)
+
+
+def reducer_pivots(matrix, field):
+    """The pivot dict of the field's reducer on the columns of ``matrix``."""
+    nrows = len(matrix)
+    ncols = len(matrix[0]) if matrix else 0
+    p = field.p
+    if p == 2:
+        masks = [sum(1 << r for r in range(nrows) if matrix[r][c] % 2) for c in range(ncols)]
+        return pivots_gf2(masks)
+    columns = [
+        {r: matrix[r][c] % p if p else matrix[r][c] for r in range(nrows)
+         if (matrix[r][c] % p if p else matrix[r][c])}
+        for c in range(ncols)
+    ]
+    frozen = [dict(col) for col in columns]
+    pivots = pivots_gfp(columns, p) if p else pivots_qq(columns)
+    assert columns == frozen  # the reducer leaves its input alone
+    return pivots
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(sparse_matrices())
+def test_pivot_rows_are_the_lowest_ones_of_a_column_reduction(matrix):
+    columns, nrows = matrix
+    dense = dense_of(columns, nrows)
+    for field in (GF2, FieldSpec(3), FieldSpec(65521), QQ):
+        pivots = reducer_pivots(dense, field)
+        assert set(pivots) == reference_pivot_rows(dense, field.p), (dense, field)
+        assert len(pivots) == reference_rank(dense, field.p)
+        for row, column in pivots.items():
+            lowest = column.bit_length() - 1 if field == GF2 else max(column)
+            assert lowest == row

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathideal.betti import stanley_reisner_complex
 from pathideal.caps import CapExceeded
 from pathideal import complexes, topology
 from pathideal.complexes import SimplicialComplex, homology_dims_of_faces
@@ -29,6 +28,8 @@ from pathideal.topology import (
     minimal_vertex_covers,
     minors,
 )
+
+from oracles import stanley_reisner_complex
 
 
 def masks_to_sets(masks):
