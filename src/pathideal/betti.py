@@ -15,8 +15,12 @@ All routes produce the table of the ideal (not of the quotient ring):
 The first two are exponential and independent of each other: their
 agreement on a shared instance is the core anti-bug check of the package,
 and nothing in their inner loops is shared beyond the exact column
-reducers of ``fields``.  The interval route is polynomial and is always
-checked against them, never used as an oracle for itself.
+reducers of ``fields``.  The combinatorial route takes its boundary
+columns from ``complexes.FaceIndex``, the package's one builder of
+simplicial boundaries; the algebraic route builds its own
+(``ChainComplex``) and ranks them through ``fields.rank_sparse``.  The
+interval route is polynomial and is always checked against them, never
+used as an oracle for itself.
 
 The combinatorial route restricts the faces to each W with per-vertex
 bitmasks and reduces the boundary matrices from the top size down with
@@ -29,13 +33,13 @@ hide in both routes at once.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from functools import partial
 from typing import Iterable, Mapping, Optional
 
 from .caps import SUBSET_CAP_N, TAYLOR_CAP_K, CapExceeded
-from .complexes import ChainComplex
-from .fields import GF2, FieldSpec, pivots_gf2, pivots_gfp, pivots_qq, rank_sparse
+from .complexes import FaceIndex
+from .fields import GF2, FieldSpec, rank_sparse, reducer
 from .monomials import MonomialIdeal
 
 
@@ -145,12 +149,6 @@ def _face_masks(n: int, gen_masks: Iterable[int]) -> list[int]:
     return faces
 
 
-def _require_face_masks_fit(n: int, cap: int) -> None:
-    """Refuse ambient sizes beyond ``cap``: faces range over all 2^n subsets."""
-    if n > cap:
-        raise CapExceeded(f"n={n} exceeds cap {cap}")
-
-
 def _union_closure(gen_masks: Iterable[int]) -> list[int]:
     """All distinct unions of subfamilies of the generator supports."""
     unions = {0}
@@ -161,8 +159,8 @@ def _union_closure(gen_masks: Iterable[int]) -> list[int]:
 
 
 def _check_degree_row(ideal: MonomialIdeal, table: BettiTable) -> None:
-    hist = ideal.degree_histogram()
-    row = {j: b for (i, j), b in table.entries.items() if i == 0}
+    hist = dict(Counter(g.bit_count() for g in ideal.gen_masks()))
+    row = {j: b for (i, j), b in table._entries.items() if i == 0}
     if row != hist:
         raise RuntimeError(
             f"column 0 of the table {row} does not match generator degrees {hist}"
@@ -184,8 +182,8 @@ def betti_hochster(
     visited; any other subset induces a cone, which is contractible and
     contributes nothing.
 
-    The faces of Delta are enumerated once, each with a row index within
-    its size, and the boundary column of each face is built once in those
+    The faces of Delta are enumerated once, and their ``FaceIndex`` gives
+    each face a row index within its size and its boundary column in those
     indices (a bitmask over GF(2), a dict row -> entry otherwise).  For a
     subset W the columns of the faces inside W are exactly the boundary
     matrices of Delta_W: every term of the boundary of a face inside W is a
@@ -195,9 +193,10 @@ def betti_hochster(
     rank of its kept columns.
 
     Restriction.  For each size g and vertex v a bitmask over the faces of
-    size g marks those that contain v.  The faces of size g inside W are
-    all faces of size g but those marked for a vertex outside W, one
-    AND-NOT per outside vertex, and only their set bits are walked.
+    size g (the index's ``holding``) marks those that contain v.  The faces
+    of size g inside W are all faces of size g but those marked for a vertex
+    outside W, one AND-NOT per outside vertex, and only their set bits are
+    walked.
 
     Clearing.  The boundary matrices of Delta_W are reduced from the
     largest face size down, and the reduction of d_g (faces of size g to
@@ -221,53 +220,23 @@ def betti_hochster(
     """
     _require_proper_nonzero(ideal)
     n = ideal.n
-    _require_face_masks_fit(n, cap)
+    if n > cap:  # faces range over all 2^n subsets
+        raise CapExceeded(f"n={n} exceeds cap {cap}")
     gen_masks = ideal.gen_masks()
-    faces_by_size: list[list[int]] = [[] for _ in range(n + 1)]
-    for f in _face_masks(n, gen_masks):
-        faces_by_size[f.bit_count()].append(f)
-    row = {f: r for faces in faces_by_size for r, f in enumerate(faces)}
-    p = field.p
-    if p == 2:
-        reduce = pivots_gf2
-    elif p:
-        reduce = partial(pivots_gfp, p=p)
-    else:
-        reduce = pivots_qq
-    minus = p - 1 if p else -1
-    # columns[g][r]: boundary column of the face f of size g >= 1 in row r,
-    # the sum of (-1)^pos (f minus its pos-th vertex); every[g]: all rows of
-    # size g; keep[g][v]: the rows of size g whose face misses vertex v
-    columns: list[list] = [[]]
-    every = [1]
-    keep: list[list[int]] = [[]]
-    for faces in faces_by_size[1:]:
-        if not faces:
-            break
-        sized = []
-        holding = [0] * n
-        for r, f in enumerate(faces):
-            terms = []
-            rest = f
-            while rest:
-                low = rest & -rest
-                terms.append(row[f ^ low])
-                holding[low.bit_length() - 1] |= 1 << r
-                rest ^= low
-            if p == 2:
-                sized.append(sum(1 << t for t in terms))
-            else:
-                sized.append({t: minus if pos % 2 else 1 for pos, t in enumerate(terms)})
-        columns.append(sized)
-        every.append((1 << len(faces)) - 1)
-        keep.append([every[-1] & ~held for held in holding])
+    index = FaceIndex(_face_masks(n, gen_masks), field)
+    reduce = reducer(field)
+    columns = index.columns
+    # every[g]: all rows of size g; keep[g][v]: the rows of size g whose
+    # face misses vertex v
+    every = [(1 << len(faces)) - 1 for faces in index.faces]
+    keep = [[rows & ~held for held in holding] for rows, holding in zip(every, index.holding)]
     if prune_cones:
         candidates = _union_closure(gen_masks)
     else:
         candidates = list(range(1, 1 << n))
     entries: dict[tuple[int, int], int] = {}
     for w in candidates:
-        outside = [v for v in range(n) if not w >> v & 1]
+        outside = [v for v in range(index.n) if not w >> v & 1]
         # inside[g]: rows of the faces of size g inside W, up to the largest
         # size that has one; the empty face is row 0 of size 0
         inside = [1]
@@ -305,6 +274,33 @@ def betti_hochster(
     table = BettiTable(entries)
     _check_degree_row(ideal, table)
     return table
+
+
+class ChainComplex:
+    """A bounded chain complex of based vector spaces with integer matrices.
+
+    ``sizes[g]`` is the dimension in grade g and ``boundaries[g]`` holds the
+    sparse columns ``[(row, coeff), ...]`` of the map grade g -> grade g-1
+    (g >= 1).
+    """
+
+    def __init__(self, sizes: list[int], boundaries: list[list[list[tuple[int, int]]]]):
+        self.sizes = sizes
+        self.boundaries = boundaries  # boundaries[g] defined for g >= 1
+
+    def composition_is_zero(self) -> bool:
+        """Check d∘d = 0 symbolically over the integers (hence over any field)."""
+        for g in range(2, len(self.sizes)):
+            upper = self.boundaries[g]
+            lower = self.boundaries[g - 1]
+            for col in upper:
+                acc: dict[int, int] = {}
+                for mid, c1 in col:
+                    for row, c2 in lower[mid]:
+                        acc[row] = acc.get(row, 0) + c1 * c2
+                if any(v != 0 for v in acc.values()):
+                    return False
+        return True
 
 
 def taylor_strand_complexes(
@@ -495,6 +491,11 @@ def betti_interval(ideal: MonomialIdeal) -> BettiTable:
     intervals = _intervals(ideal)
     if intervals is None:
         raise ValueError(f"{ideal} is not generated by intervals of consecutive variables")
+    return _interval_table(ideal, intervals)
+
+
+def _interval_table(ideal: MonomialIdeal, intervals: tuple[Interval, ...]) -> BettiTable:
+    """The table of ``betti_interval``, given the ideal's intervals."""
     shift = intervals[0][0] - 1
     key = tuple((a - shift, b - shift) for a, b in intervals)
     table = BettiTable(_INTERVAL_MEMO.table(key))
@@ -525,8 +526,9 @@ def betti_table(
     if method == "interval":
         return betti_interval(ideal)
     if method == "auto":
-        if _intervals(ideal) is not None:
-            return betti_interval(ideal)
+        intervals = _intervals(ideal)
+        if intervals is not None:
+            return _interval_table(ideal, intervals)
         prefer_hochster = n <= k
         if prefer_hochster and n <= cap_n:
             return betti_hochster(ideal, field, cap=cap_n)

@@ -1,19 +1,29 @@
-"""Simplicial complexes on bitmask vertex sets and exact reduced homology.
+"""Simplicial complexes on bitmask vertex sets, their face index, and exact
+reduced homology.
 
 A complex is stored by its facets (inclusion-maximal faces) as bitmasks.
 Reduced homology uses the augmented chain complex: the empty face spans
 the degree -1 term, so the irrelevant complex {∅} has one dimension of
 homology in degree -1 and nonempty complexes have none there.
+
+``FaceIndex`` is the one builder of simplicial boundary columns.  It numbers
+the faces within each size, builds each face's boundary column once in the
+form of the field's reducer, and marks for each vertex the rows whose face
+contains it.  The Hochster route of ``betti`` restricts its columns to each
+induced subcomplex, the sequential Cohen-Macaulay test of ``topology``
+reads every skeleton and link off it, and ``reduced_homology_dims`` ranks
+its columns as they are.  The strand route of ``betti`` builds its own
+columns, so the two exponential Betti routes share no inner loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .caps import SUBSET_CAP_N, CapExceeded
-from .fields import FieldSpec, rank_sparse
-from .monomials import _minimal_masks, iter_bits
+from .fields import FieldSpec, reducer
+from .monomials import _canonical_sorted, _in_canonical_order, _minimal_masks, iter_bits
 
 
 @dataclass(frozen=True)
@@ -28,8 +38,8 @@ class SimplicialComplex:
     facets: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        keys = [tuple(iter_bits(f)) for f in self.facets]
-        if keys != sorted(keys) or len(set(keys)) != len(keys):
+        facets = self.facets
+        if not _in_canonical_order(facets) or len(set(facets)) != len(facets):
             raise ValueError("facets not canonically sorted; use from_faces()")
         if len(_minimal_masks(self.facets)) != len(self.facets):
             raise ValueError("facets are not an antichain; use from_faces()")
@@ -45,8 +55,7 @@ class SimplicialComplex:
             union |= f
         # complements within the union reverse inclusion
         maximal = [union ^ m for m in _minimal_masks(union ^ f for f in unique)]
-        maximal.sort(key=lambda f: tuple(iter_bits(f)))
-        return cls(n, tuple(maximal))
+        return cls(n, tuple(_canonical_sorted(maximal)))
 
     @property
     def is_void(self) -> bool:
@@ -87,86 +96,57 @@ class SimplicialComplex:
         return f"n={self.n}; {body}"
 
 
-class ChainComplex:
-    """A bounded chain complex of based vector spaces with integer matrices.
+class FaceIndex:
+    """The faces of a downward-closed family numbered within each size, with
+    their boundary columns over a field and per-vertex row masks.
 
-    ``sizes[g]`` is the dimension in grade g and ``boundaries[g]`` holds the
-    sparse columns of the map grade g -> grade g-1 (g >= 1).  Grades are the
-    face dimensions shifted by one, so grade 0 is the span of the empty face.
+    ``faces[g]`` lists the faces of size g in increasing mask order; a face's
+    row is its position there.  ``columns[g][r]`` is the boundary of the face
+    f in row r of size g, the sum of (-1)^pos (f minus its pos-th vertex)
+    over the rows of size g - 1, in the form ``fields.reducer`` takes: a
+    bitmask over GF(2), a dict row -> +-1 mod p over GF(p) or row -> +-1 over
+    the rationals (the empty face has the zero column).  ``holding[g][v]``
+    marks the rows of size g whose face contains vertex v, for v < n, the
+    largest vertex of a face plus one.
     """
 
-    def __init__(self, sizes: list[int], boundaries: list[list[list[tuple[int, int]]]]):
-        self.sizes = sizes
-        self.boundaries = boundaries  # boundaries[g] defined for g >= 1
-
-    def composition_is_zero(self) -> bool:
-        """Check d∘d = 0 symbolically over the integers (hence over any field)."""
-        for g in range(2, len(self.sizes)):
-            upper = self.boundaries[g]
-            lower = self.boundaries[g - 1]
-            for col in upper:
-                acc: dict[int, int] = {}
-                for mid, c1 in col:
-                    for row, c2 in lower[mid]:
-                        acc[row] = acc.get(row, 0) + c1 * c2
-                if any(v != 0 for v in acc.values()):
-                    return False
-        return True
-
-
-def chain_complex_of_faces(faces: Iterable[int]) -> ChainComplex:
-    """Augmented simplicial chain complex of a downward-closed face family.
-
-    The family must contain the empty face and every subface of each member.
-    """
-    by_dim: dict[int, list[int]] = {}
-    for f in faces:
-        by_dim.setdefault(f.bit_count(), []).append(f)
-    top = max(by_dim) if by_dim else 0
-    sizes = []
-    index: list[dict[int, int]] = []
-    for g in range(top + 1):
-        masks = sorted(by_dim.get(g, []))
-        sizes.append(len(masks))
-        index.append({mask: i for i, mask in enumerate(masks)})
-    boundaries: list[list[list[tuple[int, int]]]] = [[]]
-    for g in range(1, top + 1):
-        cols = []
-        prev = index[g - 1]
-        for mask in sorted(by_dim.get(g, [])):
-            entries = []
-            for pos, v in enumerate(iter_bits(mask)):
-                sub = mask & ~(1 << (v - 1))
-                entries.append((prev[sub], -1 if pos % 2 else 1))
-            cols.append(entries)
-        boundaries.append(cols)
-    return ChainComplex(sizes, boundaries)
-
-
-def homology_dims_of_faces(faces: Iterable[int], field: FieldSpec) -> dict[int, int]:
-    """Reduced homology dimensions of a downward-closed face family.
-
-    Returns a map face-dimension -> dim of reduced homology, for dimensions
-    -1 up to the top face dimension; an empty family gives an empty map.
-    """
-    complex_ = chain_complex_of_faces(faces)
-    sizes = complex_.sizes
-    if not sizes or sizes[0] == 0:
-        return {}
-    top = len(sizes) - 1
-    ranks = [0] * (top + 2)
-    for g in range(1, top + 1):
-        ranks[g] = rank_sparse(complex_.boundaries[g], sizes[g - 1], field)
-    dims: dict[int, int] = {}
-    for g in range(top + 1):
-        dims[g - 1] = sizes[g] - ranks[g] - ranks[g + 1]
-    return dims
+    def __init__(self, faces: Iterable[int], field: FieldSpec):
+        ordered = sorted(faces)
+        self.n = ordered[-1].bit_length() if ordered else 0
+        top = max((f.bit_count() for f in ordered), default=-1)
+        self.faces: list[list[int]] = [[] for _ in range(top + 1)]
+        for f in ordered:
+            self.faces[f.bit_count()].append(f)
+        row = {f: r for sized in self.faces for r, f in enumerate(sized)}
+        p = field.p
+        minus = p - 1 if p else -1
+        self.columns: list[list] = []
+        self.holding: list[list[int]] = []
+        for sized in self.faces:
+            columns = []
+            holding = [0] * self.n
+            for r, f in enumerate(sized):
+                terms = []
+                rest = f
+                while rest:
+                    low = rest & -rest
+                    terms.append(row[f ^ low])
+                    holding[low.bit_length() - 1] |= 1 << r
+                    rest ^= low
+                if p == 2:
+                    columns.append(sum(1 << t for t in terms))
+                else:
+                    columns.append({t: minus if pos % 2 else 1 for pos, t in enumerate(terms)})
+            self.columns.append(columns)
+            self.holding.append(holding)
 
 
 def reduced_homology_dims(
     cx: SimplicialComplex, field: FieldSpec, cap: int = SUBSET_CAP_N
 ) -> dict[int, int]:
-    """Reduced homology of a complex given by facets.
+    """Reduced homology of a complex given by facets: a map face dimension
+    -> dim of reduced homology, for dimensions -1 up to the complex's
+    dimension.
 
     The irrelevant complex {∅} has one dimension in degree -1; any complex
     with a vertex has none there.  The void complex has no homology at all.
@@ -175,4 +155,10 @@ def reduced_homology_dims(
         return {}
     if cx.vertices.bit_count() > cap:
         raise CapExceeded(f"complex has {cx.vertices.bit_count()} vertices, cap is {cap}")
-    return homology_dims_of_faces(cx.faces(), field)
+    index = FaceIndex(cx.faces(), field)
+    reduce = reducer(field)
+    # ranks[g]: rank of the boundary of the faces of size g
+    ranks = [len(reduce(columns)) for columns in index.columns] + [0]
+    return {
+        g - 1: len(faces) - ranks[g] - ranks[g + 1] for g, faces in enumerate(index.faces)
+    }

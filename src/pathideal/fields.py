@@ -1,12 +1,14 @@
 """Exact rank computation over GF(2), GF(p) and the rationals.
 
-Matrices arrive as sparse integer columns ``[(row, coeff), ...]``, which is
-how boundary matrices are produced, and the same column reduction serves
-every field: a column is reduced against earlier pivot columns, always on its
-largest row index, until it vanishes or starts a new pivot.  There is one
-reducer per field; each returns the pivot columns keyed by their largest
-row, so the rank is the number of pivots, and a caller can also read which
-rows are pivots (the Hochster route skips columns with them).
+The same column reduction serves every field: a column is reduced against
+earlier pivot columns, always on its largest row index, until it vanishes or
+starts a new pivot.  There is one reducer per field, and :func:`reducer`
+picks it; each returns the pivot columns keyed by their largest row, so the
+rank is the number of pivots, and a caller can also read which rows are
+pivots (the Hochster route skips columns with them).  The simplicial
+boundary columns of ``complexes.FaceIndex`` arrive already in the reducer's
+form; :func:`rank_sparse` converts sparse integer columns
+``[(row, coeff), ...]``, as the strand route builds them.
 
 * GF(2) — columns are Python-int bitmasks, so a reduction step is one XOR.
 * GF(p), p an odd prime below 2^16 — dict columns with entries mod p.
@@ -17,8 +19,9 @@ rows are pivots (the Hochster route skips columns with them).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import gcd
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 SparseColumn = Sequence[tuple[int, int]]
 
@@ -156,22 +159,29 @@ def pivots_qq(columns: Iterable[Mapping[int, int]]) -> dict[int, dict[int, int]]
     return pivots
 
 
-def rank_gf2(column_masks: Sequence[int]) -> int:
-    """Rank over GF(2) of a matrix given by column bitmasks."""
-    return len(pivots_gf2(column_masks))
+def reducer(field: FieldSpec) -> Callable[[Iterable], dict]:
+    """The column reducer of the field: :func:`pivots_gf2`, which takes
+    bitmask columns, or :func:`pivots_gfp` (with p bound) or
+    :func:`pivots_qq`, which take dict columns row -> entry."""
+    p = field.p
+    if p == 2:
+        return pivots_gf2
+    if p:
+        return partial(pivots_gfp, p=p)
+    return pivots_qq
 
 
 def rank_sparse(columns: Sequence[SparseColumn], nrows: int, field: FieldSpec) -> int:
     """Rank of a matrix given by sparse integer columns.
 
     Entries of a column that share a row are summed and reduced into the
-    field; the columns then go to the reducer of the field:
-    :func:`pivots_gf2` as bitmasks, :func:`pivots_gfp` or :func:`pivots_qq`
-    as dicts row -> entry.
+    field; the columns then go to the field's :func:`reducer`, as bitmasks
+    over GF(2) and as dicts row -> entry otherwise.
     """
     if nrows == 0 or not columns:
         return 0
     p = field.p
+    reduce = reducer(field)
     if p == 2:
         masks = []
         for col in columns:
@@ -180,7 +190,7 @@ def rank_sparse(columns: Sequence[SparseColumn], nrows: int, field: FieldSpec) -
                 if coeff % 2:
                     mask ^= 1 << row
             masks.append(mask)
-        return len(pivots_gf2(masks))
+        return len(reduce(masks))
     dicts = []
     for col in columns:
         v: dict[int, int] = {}
@@ -190,4 +200,4 @@ def rank_sparse(columns: Sequence[SparseColumn], nrows: int, field: FieldSpec) -
             dicts.append({row: c % p for row, c in v.items() if c % p})
         else:
             dicts.append({row: c for row, c in v.items() if c})
-    return len(pivots_gfp(dicts, p) if p else pivots_qq(dicts))
+    return len(reduce(dicts))

@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 from functools import cmp_to_key
 from itertools import groupby
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -39,6 +39,20 @@ def _lex_less(a: int, b: int) -> bool:
     """
     low = (a ^ b) & -(a ^ b)
     return b > low if a & low else a < low
+
+
+def _in_canonical_order(masks: Sequence[int]) -> bool:
+    """True iff each mask is equal to or sorts canonically before the next."""
+    return all(a == b or _lex_less(a, b) for a, b in zip(masks, masks[1:]))
+
+
+def _canonical_sorted(masks: Iterable[int]) -> list[int]:
+    """``masks`` in canonical order.  Increasing masks often are already (the
+    intervals of a path ideal are); only others get the comparison sort."""
+    out = sorted(masks)
+    if not _in_canonical_order(out):
+        out.sort(key=cmp_to_key(lambda a, b: 0 if a == b else -1 if _lex_less(a, b) else 1))
+    return out
 
 
 def _minimal_masks(masks: Iterable[int]) -> list[int]:
@@ -120,10 +134,9 @@ class MonomialIdeal:
             if not g.fits(self.n):
                 raise ValueError(f"generator {g} does not fit ambient size {self.n}")
         masks = [g.mask for g in self.gens]
-        neighbours = list(zip(masks, masks[1:]))
-        if not all(a == b or _lex_less(a, b) for a, b in neighbours):
+        if not _in_canonical_order(masks):
             raise ValueError("generators not in canonical order; use minimalize()")
-        if any(a == b for a, b in neighbours):
+        if any(a == b for a, b in zip(masks, masks[1:])):
             raise ValueError("duplicate generators; use minimalize()")
         if len(_minimal_masks(masks)) != len(masks):
             raise ValueError("generators are not an antichain; use minimalize()")
@@ -175,16 +188,13 @@ def minimalize(n: int, raw: Iterable[Monomial]) -> MonomialIdeal:
         The ideal with its unique set of minimal generators, canonically
         ordered.  An empty family yields the zero ideal.
     """
-    monomials = sorted(set(raw), key=lambda g: g.degree)
-    for g in monomials:
-        if not g.fits(n):
-            raise ValueError(f"generator {g} does not fit ambient size {n}")
+    monomials = set(raw)
+    bad = [g for g in monomials if not g.fits(n)]
+    if bad:
+        g = min(bad, key=lambda g: g.degree)
+        raise ValueError(f"generator {g} does not fit ambient size {n}")
     by_mask = {g.mask: g for g in monomials}
-    # increasing masks are often already in canonical order (the intervals
-    # of a path ideal are); only a list that is not gets the comparison sort
-    kept = sorted(_minimal_masks(by_mask))
-    if not all(_lex_less(a, b) for a, b in zip(kept, kept[1:])):
-        kept.sort(key=cmp_to_key(lambda a, b: -1 if _lex_less(a, b) else 1))
+    kept = _canonical_sorted(_minimal_masks(by_mask))
     return MonomialIdeal(n, tuple(by_mask[m] for m in kept))
 
 

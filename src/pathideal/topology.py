@@ -18,8 +18,9 @@ number of distinct minors still grows exponentially (on the length-2 path:
 23, 115, 559, 2,690 and 12,909 for n = 6, 9, 12, 15, 18), and a failure
 reruns the 3^v assignment walk of :func:`minors` to report the same first
 counterexample as that walk, so ``MINOR_CAP_N`` stays.  Sequential
-Cohen-Macaulayness builds the boundary columns of each skeleton once and
-reads every link off them by restriction to the faces containing it.
+Cohen-Macaulayness builds one ``complexes.FaceIndex`` of the complex, takes
+each skeleton as masks of its rows and each link by restriction to the
+faces containing it.
 """
 
 from __future__ import annotations
@@ -36,9 +37,9 @@ from .caps import (
     SUBSET_CAP_N,
     CapExceeded,
 )
-from .complexes import SimplicialComplex
-from .fields import FieldSpec, rank_gf2, rank_sparse
-from .monomials import MonomialIdeal, _minimal_masks, iter_bits
+from .complexes import FaceIndex, SimplicialComplex
+from .fields import FieldSpec, reducer
+from .monomials import MonomialIdeal, _canonical_sorted, _in_canonical_order, _minimal_masks, iter_bits
 
 
 @dataclass(frozen=True)
@@ -49,8 +50,8 @@ class Clutter:
     edges: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        keys = [tuple(iter_bits(e)) for e in self.edges]
-        if keys != sorted(keys) or len(set(keys)) != len(keys):
+        edges = self.edges
+        if not _in_canonical_order(edges) or len(set(edges)) != len(edges):
             raise ValueError("edges not canonically sorted; use from_edges()")
         if any(a == 0 or a >> self.n for a in self.edges):
             raise ValueError("edge empty or outside the vertex set")
@@ -75,9 +76,7 @@ class Clutter:
 
 def _canonical_edges(edges: Iterable[int]) -> tuple[int, ...]:
     """The inclusion-minimal edges, canonically sorted: a valid ``Clutter.edges``."""
-    kept = _minimal_masks(edges)
-    kept.sort(key=lambda e: tuple(iter_bits(e)))
-    return tuple(kept)
+    return tuple(_canonical_sorted(_minimal_masks(edges)))
 
 
 def clutter_from_text(text: str) -> Clutter:
@@ -166,8 +165,7 @@ def minimal_vertex_covers(clutter: Clutter, cap: int = SUBSET_CAP_N) -> tuple[in
             cand |= bit
 
     search(0, [], (1 << clutter.n) - 1, (1 << len(edges)) - 1)
-    covers.sort(key=lambda a: tuple(iter_bits(a)))
-    return tuple(covers)
+    return tuple(_canonical_sorted(covers))
 
 
 def cover_complex(clutter: Clutter, cap: int = SUBSET_CAP_N) -> SimplicialComplex:
@@ -429,16 +427,17 @@ def is_interval_clutter(clutter: Clutter) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _links_acyclic_below_top(faces: set[int], field: FieldSpec) -> bool:
-    """Reisner-style check on a pure face family: every link of every face
+def _links_acyclic_below_top(index: FaceIndex, skeleton: list[int], field: FieldSpec) -> bool:
+    """Reisner-style check on a pure subcomplex: every link of every face
     (the empty face included) has zero reduced homology below its dimension.
 
-    The boundary column of every face is built once, numbered within face
-    sizes as in ``betti.betti_hochster``: a bitmask over GF(2), sparse +-1
-    entries otherwise.  Unlike that route, every column is ranked; no
-    column is skipped by clearing.  The link of sigma, the faces tau missing sigma with
-    tau | sigma a face, is read off the faces rho containing sigma: keep
-    their columns, restricted to the rows of faces containing sigma.
+    The subcomplex is given by ``skeleton[g]``, a mask of the rows of size g
+    of ``index``, up to its top size.  The link of sigma, the faces tau
+    missing sigma with tau | sigma a face, is read off the faces rho of the
+    subcomplex that contain sigma, the AND of the index's holding masks of
+    the vertices of sigma: keep their columns, restricted to the rows, one
+    size down, of the faces containing sigma.  Every column is ranked; no
+    column is skipped by clearing.
 
     Proof that the ranks are those of the link.  Map tau to rho = tau | sigma;
     this matches the link faces of size h with the faces of size |sigma| + h
@@ -458,56 +457,39 @@ def _links_acyclic_below_top(faces: set[int], field: FieldSpec) -> bool:
     dimension -1; a link with a vertex has none there, so such faces are
     skipped.
     """
-    top = max(f.bit_count() for f in faces)
-    faces_by_size: list[list[int]] = [[] for _ in range(top + 1)]
-    for f in sorted(faces):
-        faces_by_size[f.bit_count()].append(f)
-    row = {f: r for sized in faces_by_size for r, f in enumerate(sized)}
+    top = len(skeleton) - 1
     gf2 = field.p == 2
-    # cells[g][r]: (face, boundary column) for the face of size g in row r;
-    # the boundary of f is the sum of (-1)^pos (f minus its pos-th vertex),
-    # and a sparse term (u, row, sign) keeps the vertex u it removes
-    cells: list[list[tuple[int, int | list[tuple[int, int, int]]]]] = [[]]
-    for sized in faces_by_size[1:]:
-        cells.append([])
-        for f in sized:
-            rest, terms = f, []
-            while rest:
-                low = rest & -rest
-                terms.append((low, row[f ^ low], -1 if len(terms) % 2 else 1))
-                rest ^= low
-            column = sum(1 << r for _, r, _ in terms) if gf2 else terms
-            cells[-1].append((f, column))
-    for sigma in sorted(faces):
-        d = sigma.bit_count()
-        if d >= top - 1:
-            continue
-        # sizes[h] and ranks[h]: link faces of size h, rank of their boundary;
-        # over GF(2), rows holds the rows of the faces of size d + h - 1
-        # that contain sigma
-        sizes, ranks, rows = [1], [0], 1 << row[sigma]
-        for g in range(d + 1, top + 1):
-            cols: list = []
-            kept_rows = 0
-            for r, (f, column) in enumerate(cells[g]):
-                if f & sigma != sigma:
-                    continue
-                if gf2:
-                    cols.append(column & rows)
-                    kept_rows |= 1 << r
-                else:
-                    cols.append([(i, c) for u, i, c in column if not u & sigma])
-            if not cols:
-                break
-            sizes.append(len(cols))
-            if gf2:
-                ranks.append(rank_gf2(cols))
-                rows = kept_rows
-            else:
-                ranks.append(rank_sparse(cols, len(faces_by_size[g - 1]), field))
-        ranks.append(0)
-        if any(sizes[h] - ranks[h] - ranks[h + 1] for h in range(len(sizes) - 1)):
-            return False
+    reduce = reducer(field)
+    for d in range(top - 1):
+        rows = skeleton[d]
+        while rows:
+            low = rows & -rows
+            rows ^= low
+            vertices = [v - 1 for v in iter_bits(index.faces[d][low.bit_length() - 1])]
+            # sizes[h] and ranks[h]: link faces of size h, rank of their
+            # boundary; below: the rows of size g - 1 that contain sigma
+            sizes, ranks, below = [1], [0], low
+            for g in range(d + 1, top + 1):
+                containing = (1 << len(index.faces[g])) - 1
+                for v in vertices:
+                    containing &= index.holding[g][v]
+                kept = containing & skeleton[g]
+                columns = index.columns[g]
+                cols: list = []
+                while kept:
+                    bit = kept & -kept
+                    kept ^= bit
+                    column = columns[bit.bit_length() - 1]
+                    if gf2:
+                        cols.append(column & below)
+                    else:
+                        cols.append({r: c for r, c in column.items() if below >> r & 1})
+                sizes.append(len(cols))
+                ranks.append(len(reduce(cols)))
+                below = containing
+            ranks.append(0)
+            if any(sizes[h] - ranks[h] - ranks[h + 1] for h in range(len(sizes) - 1)):
+                return False
     return True
 
 
@@ -516,27 +498,30 @@ def is_sequentially_cm(
 ) -> bool:
     """Sequential Cohen-Macaulayness over the given field.
 
-    Uses the skeleton criterion: the complex qualifies iff for every i the
-    subcomplex generated by its i-dimensional faces is Cohen-Macaulay,
+    Uses the skeleton criterion: the complex qualifies iff for every t the
+    pure subcomplex generated by its faces of size t is Cohen-Macaulay,
     which is checked by vanishing of reduced homology of all face links
     below top dimension.  No claim is made across characteristics.
+
+    One ``FaceIndex`` of the complex serves every skeleton: the skeleton of
+    size t takes every row of size t, and each lower size the rows in the
+    boundary columns of its rows one size up.
     """
     if cx.is_void:
         raise ValueError("void complex")
     if cx.vertices.bit_count() > cap:
         raise CapExceeded(f"{cx.vertices.bit_count()} vertices exceed cap {cap}")
-    all_faces = cx.faces()
-    top_dim = cx.dim
-    for i in range(top_dim + 1):
-        generators = [f for f in all_faces if f.bit_count() == i + 1]
-        skeleton: set[int] = set()
-        for g in generators:
-            sub = g
-            while True:
-                skeleton.add(sub)
-                if sub == 0:
-                    break
-                sub = (sub - 1) & g
-        if not _links_acyclic_below_top(skeleton, field):
+    index = FaceIndex(cx.faces(), field)
+    gf2 = field.p == 2
+    for t in range(1, len(index.faces)):
+        skeleton = [0] * t + [(1 << len(index.faces[t])) - 1]
+        for g in range(t, 0, -1):
+            rows = skeleton[g]
+            while rows:
+                low = rows & -rows
+                rows ^= low
+                column = index.columns[g][low.bit_length() - 1]
+                skeleton[g - 1] |= column if gf2 else sum(1 << r for r in column)
+        if not _links_acyclic_below_top(index, skeleton, field):
             return False
     return True

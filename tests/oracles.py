@@ -1,4 +1,10 @@
-"""Slow reference constructions shared by the test modules."""
+"""Slow reference constructions shared by the test modules.
+
+They use none of the package's linear algebra or face index: ranks come
+from a dense elimination with Fractions (or naive mod-p arithmetic).
+"""
+
+from fractions import Fraction
 
 from pathideal.complexes import SimplicialComplex
 
@@ -16,3 +22,66 @@ def stanley_reisner_complex(ideal):
         if not any(f | 1 << v in faces for v in range(n) if not f >> v & 1)
     ]
     return SimplicialComplex.from_faces(n, facets)
+
+
+def reference_rank(matrix, p=None):
+    """Gauss-Jordan elimination over the rationals (or naive mod p), the
+    slow oracle; entries stay Python ints until a division leaves the
+    integers, and become Fractions from then on."""
+    rows = [list(row) if p is None else [x % p for x in row] for row in matrix]
+    if not rows or not rows[0]:
+        return 0
+    ncols = len(rows[0])
+    rank = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        if p is None:
+            inv = Fraction(1, rows[rank][c])
+            if inv.denominator == 1:
+                inv = inv.numerator
+        else:
+            inv = pow(int(rows[rank][c]), p - 2, p)
+        rows[rank] = [
+            x * inv if p is None else (x * inv) % p for x in rows[rank]
+        ]
+        for i in range(len(rows)):
+            if i != rank and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [
+                    a if not b else a - f * b if p is None else (a - f * b) % p
+                    for a, b in zip(rows[i], rows[rank])
+                ]
+        rank += 1
+    return rank
+
+
+def homology_dims(faces, field):
+    """Reduced homology dimensions of a downward-closed face family, by
+    dense boundary matrices and :func:`reference_rank`: a map face
+    dimension -> dim, for dimensions -1 up to the top face dimension; an
+    empty family gives an empty map."""
+    sizes, ranks = boundary_ranks(faces, field)
+    ranks.append(0)
+    return {g - 1: sizes[g] - ranks[g] - ranks[g + 1] for g in range(len(sizes))}
+
+
+def boundary_ranks(faces, field):
+    """The number of faces of each size of a downward-closed face family,
+    and the rank of the boundary map on the faces of each size (0 on the
+    empty face), by dense matrices and :func:`reference_rank`."""
+    by_size = {}
+    for f in faces:
+        by_size.setdefault(f.bit_count(), []).append(f)
+    sized = [sorted(by_size[g]) for g in range(len(by_size))]
+    row = {f: r for faces_of_size in sized for r, f in enumerate(faces_of_size)}
+    ranks = [0] * len(sized)
+    for g in range(1, len(sized)):
+        matrix = [[0] * len(sized[g]) for _ in sized[g - 1]]
+        for c, f in enumerate(sized[g]):
+            for pos, v in enumerate(v for v in range(f.bit_length()) if f >> v & 1):
+                matrix[row[f & ~(1 << v)]][c] = (-1) ** pos
+        ranks[g] = reference_rank(matrix, field.p)
+    return [len(faces_of_size) for faces_of_size in sized], ranks

@@ -19,8 +19,8 @@ from pathideal.betti import (
     invariants_of,
 )
 from pathideal.caps import CapExceeded
-from pathideal.complexes import SimplicialComplex
-from pathideal.fields import GF2, QQ, FieldSpec, rank_sparse
+from pathideal.complexes import FaceIndex
+from pathideal.fields import GF2, QQ, FieldSpec
 from pathideal.monomials import (
     Monomial,
     MonomialIdeal,
@@ -35,7 +35,7 @@ from pathideal.pathfamily import (
     make_path_ideal,
 )
 
-from oracles import stanley_reisner_complex
+from oracles import boundary_ranks, homology_dims, stanley_reisner_complex
 
 
 def table(entries):
@@ -181,25 +181,27 @@ def test_exponential_routes_agree_on_random_non_interval_ideals(ideal):
         )
 
 
-def test_hochster_builds_no_chain_complex(monkeypatch):
-    import pathideal.complexes as complexes
+def test_hochster_builds_one_face_index_per_ideal(monkeypatch):
+    built = []
 
-    ideal = projective_plane_ideal()
+    class CountingIndex(FaceIndex):
+        def __init__(self, faces, field):
+            built.append(field)
+            super().__init__(faces, field)
+
+    monkeypatch.setattr(pathideal.betti, "FaceIndex", CountingIndex)
+    ideals = [projective_plane_ideal(), make_path_ideal(PathParams(3, 1, 4))]
     fields = (GF2, FieldSpec(3), QQ)
-    expected = [betti_hochster(ideal, field) for field in fields]
-
-    def refuse(faces):
-        raise RuntimeError("chain_complex_of_faces called")
-
-    monkeypatch.setattr(complexes, "chain_complex_of_faces", refuse)
-    with pytest.raises(RuntimeError):
-        complexes.homology_dims_of_faces([0, 1], GF2)  # the patch reaches homology
-    assert [betti_hochster(ideal, field) for field in fields] == expected
+    for ideal in ideals:
+        for field in fields:
+            for prune in (True, False):
+                assert betti_hochster(ideal, field, prune_cones=prune) == betti_taylor_tor(ideal, field)
+    assert built == [field for _ in ideals for field in fields for _ in (True, False)]
 
 
-def induced_boundaries(gen_masks, w):
-    """Faces of the induced subcomplex on W by size, and the full boundary
-    columns [(row, sign), ...] of the faces of each size >= 1."""
+def induced_faces(gen_masks, w):
+    """The faces of the induced subcomplex on W: the subsets of W that
+    contain no generator."""
     faces = []
     f = w
     while True:
@@ -208,18 +210,7 @@ def induced_boundaries(gen_masks, w):
         if not f:
             break
         f = (f - 1) & w
-    by_size = [sorted(f for f in faces if f.bit_count() == g) for g in range(w.bit_count() + 1)]
-    while not by_size[-1]:
-        by_size.pop()
-    row = {f: r for sized in by_size for r, f in enumerate(sized)}
-    boundaries = [[]]
-    for sized in by_size[1:]:
-        boundaries.append([
-            [(row[f & ~(1 << v)], (-1) ** pos)
-             for pos, v in enumerate(v for v in range(f.bit_length()) if f >> v & 1)]
-            for f in sized
-        ])
-    return by_size, boundaries
+    return faces
 
 
 def hochster_without_clearing(ideal, field):
@@ -228,16 +219,10 @@ def hochster_without_clearing(ideal, field):
     gens = ideal.gen_masks()
     entries = {}
     for w in range(1, 1 << ideal.n):
-        by_size, boundaries = induced_boundaries(gens, w)
-        ranks = [0] + [
-            rank_sparse(boundaries[g], len(by_size[g - 1]), field)
-            for g in range(1, len(by_size))
-        ] + [0]
         j = w.bit_count()
-        for g, sized in enumerate(by_size):
-            h = len(sized) - ranks[g] - ranks[g + 1]
-            if h and j - g - 1 >= 0:
-                entries[(j - g - 1, j)] = entries.get((j - g - 1, j), 0) + h
+        for d, h in homology_dims(induced_faces(gens, w), field).items():
+            if h and j - d - 2 >= 0:
+                entries[(j - d - 2, j)] = entries.get((j - d - 2, j), 0) + h
     return BettiTable(entries)
 
 
@@ -267,12 +252,9 @@ def test_clearing_skips_exactly_the_pivot_faces(monkeypatch):
         for field, name in ((GF2, "pivots_gf2"), (FieldSpec(3), "pivots_gfp"), (QQ, "pivots_qq")):
             faces = skipped = 0
             for w in visited:
-                by_size, boundaries = induced_boundaries(gens, w)
-                faces += sum(len(sized) for sized in by_size[1:])
-                skipped += sum(
-                    rank_sparse(boundaries[g], len(by_size[g - 1]), field)
-                    for g in range(2, len(by_size))
-                )
+                sizes, ranks = boundary_ranks(induced_faces(gens, w), field)
+                faces += sum(sizes[1:])
+                skipped += sum(ranks[2:])
             received = []
             original = getattr(pathideal.fields, name)
 
@@ -282,7 +264,7 @@ def test_clearing_skips_exactly_the_pivot_faces(monkeypatch):
                 return original(columns, *args, **kwargs)
 
             with monkeypatch.context() as patch:
-                patch.setattr(pathideal.betti, name, counting)
+                patch.setattr(pathideal.fields, name, counting)
                 got = betti_hochster(ideal, field)
             assert got == betti_taylor_tor(ideal, field)
             assert sum(received) == faces - skipped, (str(ideal), field.label)

@@ -1,18 +1,17 @@
-"""Reduced homology on known spaces, including one with 2-torsion."""
+"""The face index, and reduced homology on known spaces, including one
+with 2-torsion, and against a dense oracle."""
 
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pathideal.caps import CapExceeded
-from pathideal.complexes import (
-    SimplicialComplex,
-    chain_complex_of_faces,
-    reduced_homology_dims,
-)
+from pathideal.complexes import FaceIndex, SimplicialComplex, reduced_homology_dims
 from pathideal.fields import GF2, QQ, FieldSpec
+
+from oracles import homology_dims
 
 
 def cx(n, *facets):
@@ -94,8 +93,44 @@ def test_boundary_composition_is_zero():
         facets = [rng.randint(1, (1 << n) - 1) for _ in range(rng.randint(1, 5))]
         complexes.append(SimplicialComplex.from_faces(n, facets))
     for complex_ in complexes:
-        chain = chain_complex_of_faces(complex_.faces())
-        assert chain.composition_is_zero()
+        columns = FaceIndex(complex_.faces(), QQ).columns
+        for g in range(2, len(columns)):
+            for column in columns[g]:
+                acc = {}
+                for mid, c1 in column.items():
+                    for row, c2 in columns[g - 1][mid].items():
+                        acc[row] = acc.get(row, 0) + c1 * c2
+                assert not any(acc.values()), (str(complex_), g)
+
+
+def test_face_index_of_a_triangle_and_an_edge():
+    faces = cx(4, [1, 2, 3], [3, 4]).faces()
+    by_size = [[0], [0b1, 0b10, 0b100, 0b1000], [0b11, 0b101, 0b110, 0b1100], [0b111]]
+    # the triangle's boundary {2,3} - {1,3} + {1,2}, in rows 2, 1 and 0
+    triangle = {GF2: 0b111, FieldSpec(3): {2: 1, 1: 2, 0: 1}, QQ: {2: 1, 1: -1, 0: 1}}
+    for field, column in triangle.items():
+        index = FaceIndex(faces, field)
+        assert index.faces == by_size
+        assert index.n == 4
+        assert index.columns[3] == [column]
+        for g, sized in enumerate(by_size):
+            for v in range(4):
+                assert index.holding[g][v] == sum(1 << r for r, f in enumerate(sized) if f >> v & 1)
+    assert FaceIndex([0], QQ).faces == [[0]]
+    assert FaceIndex([], QQ).faces == []
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 8).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=6))))
+@example((3, []))  # the void complex
+@example((3, [0]))  # the irrelevant complex {∅}
+def test_reduced_homology_matches_dense_oracle(family):
+    n, facets = family
+    complex_ = SimplicialComplex.from_faces(n, facets)
+    for field in (GF2, FieldSpec(3), QQ):
+        assert reduced_homology_dims(complex_, field) == homology_dims(complex_.faces(), field), (
+            str(complex_), field)
 
 
 def test_from_faces_keeps_maximal_only():

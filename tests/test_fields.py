@@ -15,43 +15,13 @@ from pathideal.fields import (
     pivots_gf2,
     pivots_gfp,
     pivots_qq,
-    rank_gf2,
     rank_sparse,
+    reducer,
 )
 
+from oracles import reference_rank
+
 FIELDS = (GF2, FieldSpec(3), FieldSpec(5), FieldSpec(65521), QQ)
-
-
-def reference_rank(matrix, p=None):
-    """Gaussian elimination with Fractions (or naive mod-p), the slow oracle."""
-    rows = [list(map(Fraction, row)) if p is None else [x % p for x in row]
-            for row in matrix]
-    if not rows or not rows[0]:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = (
-            1 / rows[rank][c]
-            if p is None
-            else pow(int(rows[rank][c]), p - 2, p)
-        )
-        rows[rank] = [
-            x * inv if p is None else (x * inv) % p for x in rows[rank]
-        ]
-        for i in range(len(rows)):
-            if i != rank and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [
-                    a - f * b if p is None else (a - f * b) % p
-                    for a, b in zip(rows[i], rows[rank])
-                ]
-        rank += 1
-    return rank
 
 
 def columns_of(matrix):
@@ -90,11 +60,22 @@ def test_field_spec_labels_and_parsing():
         parse_field("reals")
 
 
-def test_rank_gf2_small_cases():
-    assert rank_gf2([]) == 0
-    assert rank_gf2([0b1, 0b10, 0b11]) == 2
-    assert rank_gf2([0b111, 0b111]) == 1
-    assert rank_gf2([0b101, 0b011, 0b110]) == 2  # columns sum to zero mod 2
+def test_gf2_reducer_small_cases():
+    def rank(masks):
+        return len(reducer(GF2)(masks))
+
+    assert rank([]) == 0
+    assert rank([0b1, 0b10, 0b11]) == 2
+    assert rank([0b111, 0b111]) == 1
+    assert rank([0b101, 0b011, 0b110]) == 2  # columns sum to zero mod 2
+
+
+def test_reducer_picks_the_field_reducer():
+    assert reducer(GF2) is pivots_gf2
+    assert reducer(QQ) is pivots_qq
+    columns = [{0: 1, 1: 2}, {0: 2, 1: 1}]  # determinant -3
+    assert len(reducer(FieldSpec(3))(columns)) == 1
+    assert len(reducer(FieldSpec(5))(columns)) == 2
 
 
 def test_rank_known_matrices():
@@ -233,14 +214,14 @@ def reducer_pivots(matrix, field):
     p = field.p
     if p == 2:
         masks = [sum(1 << r for r in range(nrows) if matrix[r][c] % 2) for c in range(ncols)]
-        return pivots_gf2(masks)
+        return reducer(field)(masks)
     columns = [
         {r: matrix[r][c] % p if p else matrix[r][c] for r in range(nrows)
          if (matrix[r][c] % p if p else matrix[r][c])}
         for c in range(ncols)
     ]
     frozen = [dict(col) for col in columns]
-    pivots = pivots_gfp(columns, p) if p else pivots_qq(columns)
+    pivots = reducer(field)(columns)
     assert columns == frozen  # the reducer leaves its input alone
     return pivots
 

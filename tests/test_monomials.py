@@ -97,6 +97,14 @@ def test_minimalize_rejects_oversized_generator():
         minimalize(3, [mono(4)])
 
 
+def test_oversized_generator_error_names_the_lowest_degree_one():
+    # x5 fits nowhere in 3 variables, nor does x1*x4*x5; the message names
+    # the non-fitting generator of least degree, in either input order
+    for raw in ([mono(1, 4, 5), mono(2), mono(5)], [mono(5), mono(2), mono(1, 4, 5)]):
+        with pytest.raises(ValueError, match=r"^generator x5 does not fit ambient size 3$"):
+            minimalize(3, raw)
+
+
 def test_unit_monomial_absorbs_everything():
     got = minimalize(3, [mono(1, 2), Monomial(0)])
     assert got.is_unit

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathideal.caps import CapExceeded
-from pathideal import complexes, topology
-from pathideal.complexes import SimplicialComplex, homology_dims_of_faces
+from pathideal import topology
+from pathideal.complexes import FaceIndex, SimplicialComplex
 from pathideal.fields import GF2, QQ, FieldSpec
 from pathideal.monomials import Monomial, ideal_from_text, iter_bits, minimalize
 from pathideal.pathfamily import PathParams, make_path_ideal
@@ -29,7 +29,7 @@ from pathideal.topology import (
     minors,
 )
 
-from oracles import stanley_reisner_complex
+from oracles import homology_dims, stanley_reisner_complex
 
 
 def masks_to_sets(masks):
@@ -438,7 +438,7 @@ def sequentially_cm_by_link_complexes(cx, field):
         for sigma in skeleton:
             link = [t & ~sigma for t in skeleton if t & sigma == 0 and t | sigma in skeleton]
             top = max(t.bit_count() for t in link) - 1
-            dims = homology_dims_of_faces(link, field)
+            dims = homology_dims(link, field)
             if any(h for d, h in dims.items() if d < top):
                 return False
     return True
@@ -476,19 +476,24 @@ def test_seq_cm_matches_link_complexes_on_failures():
             assert is_sequentially_cm(cx, field) == sequentially_cm_by_link_complexes(cx, field)
 
 
-def test_seq_cm_builds_no_chain_complex(monkeypatch):
-    cxs = [projective_plane(), cover_complex(C312), cover_complex(PATH_L4),
-           SimplicialComplex.from_faces(4, [0b0011, 0b1100])]
+def test_seq_cm_builds_one_face_index_per_complex(monkeypatch):
+    built = []
+
+    class CountingIndex(FaceIndex):
+        def __init__(self, faces, field):
+            built.append(field)
+            super().__init__(faces, field)
+
+    # all sequentially CM, so that every skeleton is checked
+    cxs = [cover_complex(C312), cover_complex(PATH_L4),
+           SimplicialComplex.from_faces(4, [0b0111, 0b1000]),
+           SimplicialComplex.from_faces(5, [0b00111, 0b01100, 0b11000])]
     fields = (GF2, FieldSpec(3), QQ)
     expected = [[is_sequentially_cm(cx, field) for field in fields] for cx in cxs]
-
-    def refuse(faces):
-        raise RuntimeError("chain_complex_of_faces called")
-
-    monkeypatch.setattr(complexes, "chain_complex_of_faces", refuse)
-    with pytest.raises(RuntimeError):
-        complexes.homology_dims_of_faces([0, 1], GF2)  # the patch reaches homology
+    assert all(all(row) for row in expected) and max(cx.dim for cx in cxs) >= 2
+    monkeypatch.setattr(topology, "FaceIndex", CountingIndex)
     assert [[is_sequentially_cm(cx, field) for field in fields] for cx in cxs] == expected
+    assert built == [field for _ in cxs for field in fields]
 
 
 def test_seq_cm_cap():
