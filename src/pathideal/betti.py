@@ -23,12 +23,16 @@ interval route is polynomial and is always checked against them, never
 used as an oracle for itself.
 
 The combinatorial route restricts the faces to each W with per-vertex
-bitmasks and reduces the boundary matrices from the top size down with
-clearing: the faces that are pivot rows one size up are skipped, as their
-columns are proven to reduce to zero (see ``betti_hochster``).  The
-algebraic route ranks every column, so ``--method both`` checks a cleared
-computation against an uncleared one and a fault in the clearing cannot
-hide in both routes at once.
+bitmasks, and ranks the chain complex of Delta_W relative to the closed
+star of one vertex of W, a cone whose faces need no rank (Mischaikow-Nanda,
+"Morse theory for filtrations and efficient computation of persistent
+homology", 2013, in its simplest case).  It reduces those boundary matrices
+from the top size down with clearing: the faces that are pivot rows one
+size up are skipped, as their columns are proven to reduce to zero (see
+``betti_hochster``).  The algebraic route ranks every column of an
+unreduced complex, so ``--method both`` checks a reduced and cleared
+computation against one that is neither, and a fault in the reduction or
+the clearing cannot hide in both routes at once.
 """
 
 from __future__ import annotations
@@ -198,25 +202,46 @@ def betti_hochster(
     outside W, one AND-NOT per outside vertex, and only their set bits are
     walked.
 
-    Clearing.  The boundary matrices of Delta_W are reduced from the
+    Relative to a vertex star.  The vertices of Delta (the v with {v} a
+    face) are ordered once per ideal by the size of their closed star in
+    Delta, largest first, ties to the lower vertex; the apex of W is the
+    first of them in W.  The faces of Delta_W in the apex's closed star
+    (the index's ``star``) are dropped at every size, and each kept column
+    is restricted to the kept rows one size down: the result is the chain
+    complex of Delta_W relative to the closed star S of the apex in
+    Delta_W, and its homology is the reduced homology of Delta_W over every
+    field.  Proof: S is a subcomplex of Delta_W and a cone with apex v, so
+    its augmented chain complex is exact, as S contains {v} (the cone
+    operator F -> F + {v} is a contracting homotopy).  The long exact
+    sequence of the pair of augmented complexes then gives
+    H~_i(Delta_W) = H_i(C~(Delta_W) / C~(S)).  The quotient has the faces
+    outside S as its basis, and its differential is the boundary with the
+    rows of S deleted, which is what the restriction keeps.  S holds most
+    of the small faces of Delta_W, so far fewer columns are walked and
+    reduced.  When W holds no vertex of Delta, Delta_W = {∅} and its one
+    face is counted as it is.
+
+    Clearing.  The boundary matrices of the quotient are reduced from the
     largest face size down, and the reduction of d_g (faces of size g to
     faces of size g - 1) skips every face of size g that is the pivot row
     of a reduced column of d_{g+1}.  This leaves rank d_g unchanged over
     every field.  Proof: the reducer pivots each column on its largest
     row.  A reduced column z of d_{g+1} is a combination of columns of
-    d_{g+1}, so d_g z = 0; its entries lie on faces inside W, and its pivot
-    sigma is the one of largest index, with a nonzero entry.  Solving
-    d_g z = 0 for the column of sigma writes it as a combination of the
-    columns of d_g of faces inside W of smaller index.  Drop the cleared
-    columns from the largest index down: each, when dropped, is a
-    combination of columns of smaller index, none of which is dropped yet,
-    so no drop changes the column space.  The skipped columns would have
-    reduced to zero anyway; skipping them saves that work, and the rows
-    they would have pivoted are read off the reducer's pivot dict.
+    d_{g+1}, so d_g z = 0 (d∘d = 0 holds in the quotient as in Delta_W);
+    its entries lie on kept faces, and its pivot sigma is the one of
+    largest index, with a nonzero entry.  Solving d_g z = 0 for the column
+    of sigma writes it as a combination of the columns of d_g of kept
+    faces of smaller index.  Drop the cleared columns from the largest
+    index down: each, when dropped, is a combination of columns of smaller
+    index, none of which is dropped yet, so no drop changes the column
+    space.  The skipped columns would have reduced to zero anyway; skipping
+    them saves that work, and the rows they would have pivoted are read off
+    the reducer's pivot dict.
 
-    Only this route clears.  The strand route and the links of the
-    sequential Cohen-Macaulay test rank every column, so ``--method both``
-    compares a cleared computation against an uncleared one.
+    Only this route reduces against a star and clears.  The strand route
+    and the links of the sequential Cohen-Macaulay test rank every column,
+    so ``--method both`` compares this computation against one that does
+    neither.
     """
     _require_proper_nonzero(ideal)
     n = ideal.n
@@ -234,12 +259,30 @@ def betti_hochster(
         candidates = _union_closure(gen_masks)
     else:
         candidates = list(range(1, 1 << n))
+    star = index.star
+    # the vertices of Delta by closed-star size, largest first (sorted is
+    # stable, so ties keep the lower vertex first)
+    apexes = sorted(
+        (v for v in range(index.n) if star[0][v]),
+        key=lambda v: -sum(stars[v].bit_count() for stars in star),
+    )
+    # off_star[v][g]: the rows of size g outside the closed star of v; with
+    # no vertex of Delta in W, Delta_W = {∅} keeps its one face
+    off_star = {v: [~stars[v] for stars in star] for v in apexes}
+    no_apex = [-1] * len(columns)
+    gf2 = field.p == 2
     entries: dict[tuple[int, int], int] = {}
     for w in candidates:
         outside = [v for v in range(index.n) if not w >> v & 1]
-        # inside[g]: rows of the faces of size g inside W, up to the largest
-        # size that has one; the empty face is row 0 of size 0
-        inside = [1]
+        off = no_apex
+        for v in apexes:
+            if w >> v & 1:
+                off = off_star[v]
+                break
+        # cells[g]: the rows of the faces of size g inside W and outside the
+        # closed star of the apex, up to the largest size with a face inside
+        # W; the empty face is row 0 of size 0
+        cells = [1 & off[0]]
         for g in range(1, len(columns)):
             rows = every[g]
             kept = keep[g]
@@ -247,26 +290,33 @@ def betti_hochster(
                 rows &= kept[v]
             if not rows:
                 break
-            inside.append(rows)
-        # ranks[g]: rank of the boundary of the faces of size g in W
-        top = len(inside) - 1
+            cells.append(rows & off[g])
+        # ranks[g]: rank of the boundary of the cells of size g
+        top = len(cells) - 1
         ranks = [0] * (top + 2)
         cleared = 0
         for g in range(top, 0, -1):
-            rows = inside[g] & ~cleared
+            rows = cells[g] & ~cleared
+            cleared = 0
+            if not rows:
+                continue
             sized = columns[g]
             cols = []
             while rows:
                 low = rows & -rows
                 cols.append(sized[low.bit_length() - 1])
                 rows ^= low
+            below = cells[g - 1]
+            if gf2:
+                cols = [col & below for col in cols]
+            else:
+                cols = [{t: c for t, c in col.items() if below >> t & 1} for col in cols]
             pivots = reduce(cols)
             ranks[g] = len(pivots)
-            cleared = 0
             for h in pivots:
                 cleared |= 1 << h
         j = w.bit_count()
-        for g, rows in enumerate(inside):
+        for g, rows in enumerate(cells):
             h = rows.bit_count() - ranks[g] - ranks[g + 1]
             i = j - g - 1  # faces of size g have dimension g - 1
             if h and i >= 0:

@@ -9,11 +9,13 @@ homology in degree -1 and nonempty complexes have none there.
 ``FaceIndex`` is the one builder of simplicial boundary columns.  It numbers
 the faces within each size, builds each face's boundary column once in the
 form of the field's reducer, and marks for each vertex the rows whose face
-contains it.  The Hochster route of ``betti`` restricts its columns to each
-induced subcomplex, the sequential Cohen-Macaulay test of ``topology``
-reads every skeleton and link off it, and ``reduced_homology_dims`` ranks
-its columns as they are.  The strand route of ``betti`` builds its own
-columns, so the two exponential Betti routes share no inner loop.
+contains it and the rows of its closed star.  The Hochster route of
+``betti`` restricts its columns to each induced subcomplex, relative to the
+closed star of one of its vertices; the sequential Cohen-Macaulay test of
+``topology`` reads every skeleton and link off it, and
+``reduced_homology_dims`` ranks its columns as they are.  The strand route
+of ``betti`` builds its own columns, so the two exponential Betti routes
+share no inner loop.
 """
 
 from __future__ import annotations
@@ -107,7 +109,10 @@ class FaceIndex:
     bitmask over GF(2), a dict row -> +-1 mod p over GF(p) or row -> +-1 over
     the rationals (the empty face has the zero column).  ``holding[g][v]``
     marks the rows of size g whose face contains vertex v, for v < n, the
-    largest vertex of a face plus one.
+    largest vertex of a face plus one.  ``star[g][v]`` marks the rows of
+    size g in the closed star of v: the faces that contain v, and the faces
+    F without v for which F + {v} is a face.  It is empty unless {v} is a
+    face.
     """
 
     def __init__(self, faces: Iterable[int], field: FieldSpec):
@@ -122,16 +127,23 @@ class FaceIndex:
         minus = p - 1 if p else -1
         self.columns: list[list] = []
         self.holding: list[list[int]] = []
+        self.star: list[list[int]] = []
         for sized in self.faces:
             columns = []
             holding = [0] * self.n
+            # f minus its vertex v is a face of the closed star of v; the
+            # empty face, the only one without a face below, has no terms
+            star_below = self.star[-1] if self.star else []
             for r, f in enumerate(sized):
                 terms = []
                 rest = f
                 while rest:
                     low = rest & -rest
-                    terms.append(row[f ^ low])
-                    holding[low.bit_length() - 1] |= 1 << r
+                    t = row[f ^ low]
+                    terms.append(t)
+                    v = low.bit_length() - 1
+                    holding[v] |= 1 << r
+                    star_below[v] |= 1 << t
                     rest ^= low
                 if p == 2:
                     columns.append(sum(1 << t for t in terms))
@@ -139,6 +151,7 @@ class FaceIndex:
                     columns.append({t: minus if pos % 2 else 1 for pos, t in enumerate(terms)})
             self.columns.append(columns)
             self.holding.append(holding)
+            self.star.append(list(holding))
 
 
 def reduced_homology_dims(

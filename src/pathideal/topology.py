@@ -169,10 +169,14 @@ def minimal_vertex_covers(clutter: Clutter, cap: int = SUBSET_CAP_N) -> tuple[in
 
 
 def cover_complex(clutter: Clutter, cap: int = SUBSET_CAP_N) -> SimplicialComplex:
-    """The complex whose facets are the complements of the minimal covers."""
+    """The complex whose facets are the complements of the minimal covers.
+
+    The minimal covers are an antichain, and so are their complements, so
+    they need no minimalizing; ``SimplicialComplex`` still checks them.
+    """
     full = (1 << clutter.n) - 1
     facets = [full & ~c for c in minimal_vertex_covers(clutter, cap)]
-    return SimplicialComplex.from_faces(clutter.n, facets)
+    return SimplicialComplex(clutter.n, tuple(_canonical_sorted(facets)))
 
 
 # ---------------------------------------------------------------------------

@@ -68,20 +68,43 @@ def homology_dims(faces, field):
     return {g - 1: sizes[g] - ranks[g] - ranks[g + 1] for g in range(len(sizes))}
 
 
-def boundary_ranks(faces, field):
+def boundary_ranks(faces, field, drop=()):
     """The number of faces of each size of a downward-closed face family,
     and the rank of the boundary map on the faces of each size (0 on the
-    empty face), by dense matrices and :func:`reference_rank`."""
-    by_size = {}
-    for f in faces:
-        by_size.setdefault(f.bit_count(), []).append(f)
-    sized = [sorted(by_size[g]) for g in range(len(by_size))]
+    empty face), by dense matrices and :func:`reference_rank`.
+
+    With ``drop``, a subcomplex, the counts and ranks are those of the
+    chain complex relative to it: its faces are neither rows nor columns.
+    """
+    drop = set(drop)
+    top = max((f.bit_count() for f in faces), default=-1)
+    sized = [
+        sorted(f for f in faces if f.bit_count() == g and f not in drop)
+        for g in range(top + 1)
+    ]
     row = {f: r for faces_of_size in sized for r, f in enumerate(faces_of_size)}
     ranks = [0] * len(sized)
     for g in range(1, len(sized)):
         matrix = [[0] * len(sized[g]) for _ in sized[g - 1]]
         for c, f in enumerate(sized[g]):
             for pos, v in enumerate(v for v in range(f.bit_length()) if f >> v & 1):
-                matrix[row[f & ~(1 << v)]][c] = (-1) ** pos
+                r = row.get(f & ~(1 << v))
+                if r is not None:
+                    matrix[r][c] = (-1) ** pos
         ranks[g] = reference_rank(matrix, field.p)
     return [len(faces_of_size) for faces_of_size in sized], ranks
+
+
+def closed_star(faces, v):
+    """The closed star of vertex v in a face family: the faces F for which
+    F + {v} is also a face."""
+    faces = set(faces)
+    return {f for f in faces if f | 1 << v in faces}
+
+
+def apex_order(faces):
+    """The vertices v of a face family ({v} a face) by the size of their
+    closed star, largest first, ties to the lower vertex."""
+    faces = set(faces)
+    vertices = [v for v in range(max(faces, default=0).bit_length()) if 1 << v in faces]
+    return sorted(vertices, key=lambda v: (-len(closed_star(faces, v)), v))

@@ -35,7 +35,13 @@ from pathideal.pathfamily import (
     make_path_ideal,
 )
 
-from oracles import boundary_ranks, homology_dims, stanley_reisner_complex
+from oracles import (
+    apex_order,
+    boundary_ranks,
+    closed_star,
+    homology_dims,
+    stanley_reisner_complex,
+)
 
 
 def table(entries):
@@ -239,21 +245,46 @@ def test_hochster_equals_a_clearing_free_oracle(ideal):
             )
 
 
+@pytest.mark.parametrize("text", [
+    "n=3; (x1, x2, x3)",  # Delta = {∅}: no W has an apex
+    "n=5; (x1, x2*x3, x3*x4)",  # x1 is no vertex of Delta; W = {1} has no apex
+    "n=5; (x1*x2, x2*x3, x1*x3*x4)",  # x5 is in no generator: a cone point
+])
+def test_hochster_where_some_w_has_no_apex_or_a_cone_apex(text):
+    ideal = ideal_from_text(text)
+    for field in (GF2, FieldSpec(3), QQ):
+        expected = hochster_without_clearing(ideal, field)
+        assert betti_taylor_tor(ideal, field) == expected, field.label
+        for prune in (True, False):
+            assert betti_hochster(ideal, field, prune_cones=prune) == expected, (
+                field.label,
+                prune,
+            )
+    if ideal.n == 3:  # the Koszul complex
+        assert expected == table({(0, 1): 3, (1, 2): 3, (2, 3): 1})
+
+
 def test_clearing_skips_exactly_the_pivot_faces(monkeypatch):
-    """The reducers receive the faces of each visited W but the pivot rows
-    of the boundary one size up, and that is fewer than all the faces."""
+    """For each visited W the reducers receive the faces of Delta_W outside
+    the apex's closed star but the pivot rows of the relative boundary one
+    size up, and that is fewer than clearing alone would send."""
     for ideal in (projective_plane_ideal(), make_path_ideal(PathParams(3, 1, 4))):
         gens = ideal.gen_masks()
+        order = apex_order(induced_faces(gens, (1 << ideal.n) - 1))
         # with cone pruning the visited W are the unions of generator supports
         visited = {0}
         for g in gens:
             visited |= {w | g for w in visited}
         visited.discard(0)
         for field, name in ((GF2, "pivots_gf2"), (FieldSpec(3), "pivots_gfp"), (QQ, "pivots_qq")):
-            faces = skipped = 0
+            expected = skipped = cleared_only = 0
             for w in visited:
-                sizes, ranks = boundary_ranks(induced_faces(gens, w), field)
-                faces += sum(sizes[1:])
+                faces = induced_faces(gens, w)
+                sizes, ranks = boundary_ranks(faces, field)
+                cleared_only += sum(sizes[1:]) - sum(ranks[2:])
+                apex = next(v for v in order if w >> v & 1)
+                sizes, ranks = boundary_ranks(faces, field, drop=closed_star(faces, apex))
+                expected += sum(sizes[1:]) - sum(ranks[2:])
                 skipped += sum(ranks[2:])
             received = []
             original = getattr(pathideal.fields, name)
@@ -267,8 +298,8 @@ def test_clearing_skips_exactly_the_pivot_faces(monkeypatch):
                 patch.setattr(pathideal.fields, name, counting)
                 got = betti_hochster(ideal, field)
             assert got == betti_taylor_tor(ideal, field)
-            assert sum(received) == faces - skipped, (str(ideal), field.label)
-            assert skipped > 0 and sum(received) < faces
+            assert sum(received) == expected, (str(ideal), field.label)
+            assert skipped > 0 and sum(received) < cleared_only
 
 
 def test_generator_row_matches_degree_histogram():

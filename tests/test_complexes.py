@@ -108,6 +108,14 @@ def test_face_index_of_a_triangle_and_an_edge():
     by_size = [[0], [0b1, 0b10, 0b100, 0b1000], [0b11, 0b101, 0b110, 0b1100], [0b111]]
     # the triangle's boundary {2,3} - {1,3} + {1,2}, in rows 2, 1 and 0
     triangle = {GF2: 0b111, FieldSpec(3): {2: 1, 1: 2, 0: 1}, QQ: {2: 1, 1: -1, 0: 1}}
+    # star[g][v], vertex v + 1: the closed stars of 1 and 2 are the triangle,
+    # that of 3 is everything, that of 4 the edge {3,4}
+    star = [
+        [0b1, 0b1, 0b1, 0b1],
+        [0b0111, 0b0111, 0b1111, 0b1100],
+        [0b0111, 0b0111, 0b1111, 0b1000],
+        [0b1, 0b1, 0b1, 0b0],
+    ]
     for field, column in triangle.items():
         index = FaceIndex(faces, field)
         assert index.faces == by_size
@@ -116,8 +124,29 @@ def test_face_index_of_a_triangle_and_an_edge():
         for g, sized in enumerate(by_size):
             for v in range(4):
                 assert index.holding[g][v] == sum(1 << r for r, f in enumerate(sized) if f >> v & 1)
+        assert index.star == star
     assert FaceIndex([0], QQ).faces == [[0]]
+    assert FaceIndex([0], QQ).star == [[]]
     assert FaceIndex([], QQ).faces == []
+    assert FaceIndex([], QQ).star == []
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 8).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=6))))
+@example((3, [0]))  # the irrelevant complex {∅}
+def test_face_index_star_is_the_closed_star(family):
+    n, facets = family
+    faces = SimplicialComplex.from_faces(n, facets).faces()
+    for field in (GF2, FieldSpec(3), QQ):
+        index = FaceIndex(faces, field)
+        assert len(index.star) == len(index.faces)
+        for g, sized in enumerate(index.faces):
+            assert len(index.star[g]) == index.n
+            for v in range(index.n):
+                assert index.star[g][v] == sum(
+                    1 << r for r, f in enumerate(sized) if f | 1 << v in faces
+                ), (facets, g, v)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
