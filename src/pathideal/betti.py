@@ -17,7 +17,8 @@ agreement on a shared instance is the core anti-bug check of the package,
 and nothing in their inner loops is shared beyond the exact column
 reducers of ``fields``.  The combinatorial route takes its boundary
 columns from ``complexes.FaceIndex``, the package's one builder of
-simplicial boundaries; the algebraic route builds its own
+simplicial boundaries, which also restricts and reduces them
+(``FaceIndex.pivots``); the algebraic route builds its own
 (``ChainComplex``) and ranks them through ``fields.rank_sparse``.  The
 interval route is polynomial and is always checked against them, never
 used as an oracle for itself.
@@ -43,7 +44,7 @@ from typing import Iterable, Mapping, Optional
 
 from .caps import SUBSET_CAP_N, TAYLOR_CAP_K, CapExceeded
 from .complexes import FaceIndex
-from .fields import GF2, FieldSpec, rank_sparse, reducer
+from .fields import GF2, FieldSpec, rank_sparse
 from .monomials import MonomialIdeal
 
 
@@ -188,7 +189,8 @@ def betti_hochster(
 
     The faces of Delta are enumerated once, and their ``FaceIndex`` gives
     each face a row index within its size and its boundary column in those
-    indices (a bitmask over GF(2), a dict row -> entry otherwise).  For a
+    indices, a row mask with its signs kept apart; ``FaceIndex.pivots``
+    restricts the columns and reduces them over the field.  For a
     subset W the columns of the faces inside W are exactly the boundary
     matrices of Delta_W: every term of the boundary of a face inside W is a
     face inside W, so the rows of the faces outside W are zero in the kept
@@ -248,9 +250,7 @@ def betti_hochster(
     if n > cap:  # faces range over all 2^n subsets
         raise CapExceeded(f"n={n} exceeds cap {cap}")
     gen_masks = ideal.gen_masks()
-    index = FaceIndex(_face_masks(n, gen_masks), field)
-    reduce = reducer(field)
-    columns = index.columns
+    index = FaceIndex(_face_masks(n, gen_masks))
     # every[g]: all rows of size g; keep[g][v]: the rows of size g whose
     # face misses vertex v
     every = [(1 << len(faces)) - 1 for faces in index.faces]
@@ -269,8 +269,7 @@ def betti_hochster(
     # off_star[v][g]: the rows of size g outside the closed star of v; with
     # no vertex of Delta in W, Delta_W = {∅} keeps its one face
     off_star = {v: [~stars[v] for stars in star] for v in apexes}
-    no_apex = [-1] * len(columns)
-    gf2 = field.p == 2
+    no_apex = [-1] * len(index.faces)
     entries: dict[tuple[int, int], int] = {}
     for w in candidates:
         outside = [v for v in range(index.n) if not w >> v & 1]
@@ -283,7 +282,7 @@ def betti_hochster(
         # closed star of the apex, up to the largest size with a face inside
         # W; the empty face is row 0 of size 0
         cells = [1 & off[0]]
-        for g in range(1, len(columns)):
+        for g in range(1, len(index.faces)):
             rows = every[g]
             kept = keep[g]
             for v in outside:
@@ -300,18 +299,7 @@ def betti_hochster(
             cleared = 0
             if not rows:
                 continue
-            sized = columns[g]
-            cols = []
-            while rows:
-                low = rows & -rows
-                cols.append(sized[low.bit_length() - 1])
-                rows ^= low
-            below = cells[g - 1]
-            if gf2:
-                cols = [col & below for col in cols]
-            else:
-                cols = [{t: c for t, c in col.items() if below >> t & 1} for col in cols]
-            pivots = reduce(cols)
+            pivots = index.pivots(g, rows, cells[g - 1], field)
             ranks[g] = len(pivots)
             for h in pivots:
                 cleared |= 1 << h

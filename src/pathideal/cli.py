@@ -345,31 +345,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument("--out", metavar="FILE", help="write output to FILE")
-    common.add_argument("--field", default="gf2", help="gf2, gf<p> or rat")
-    common.add_argument("--method", default="auto",
+    # each subcommand takes only the options it reads
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--json", action="store_true", help="machine-readable output")
+    output.add_argument("--out", metavar="FILE", help="write output to FILE")
+    field = argparse.ArgumentParser(add_help=False)
+    field.add_argument("--field", default="gf2", help="gf2, gf<p> or rat")
+    tables = argparse.ArgumentParser(add_help=False)
+    tables.add_argument("--method", default="auto",
                         choices=["auto", "interval", "hochster", "taylor", "both"])
-    common.add_argument("--cap-n", type=int, default=SUBSET_CAP_N, dest="cap_n")
-    common.add_argument("--cap-k", type=int, default=TAYLOR_CAP_K, dest="cap_k")
+    tables.add_argument("--cap-n", type=int, default=SUBSET_CAP_N, dest="cap_n")
+    tables.add_argument("--cap-k", type=int, default=TAYLOR_CAP_K, dest="cap_k")
 
-    p_gen = sub.add_parser("gen", parents=[common], help="emit an ideal")
+    p_gen = sub.add_parser("gen", parents=[output], help="emit an ideal")
     _params_args(p_gen)
     p_gen.add_argument("--ideal", help="ideal text form (echoed canonically)")
     p_gen.set_defaults(func=cmd_gen)
 
-    p_betti = sub.add_parser("betti", parents=[common], help="one Betti table")
+    p_betti = sub.add_parser("betti", parents=[output, field, tables], help="one Betti table")
     _params_args(p_betti)
     p_betti.add_argument("--ideal", help="ideal text form, e.g. 'n=5; (x1*x2*x3, x3*x4*x5)'")
     p_betti.add_argument("--golden", action="store_true", help="golden-file text format")
     p_betti.set_defaults(func=cmd_betti)
 
-    p_formula = sub.add_parser("formula", parents=[common], help="closed forms only")
+    p_formula = sub.add_parser("formula", parents=[output], help="closed forms only")
     _params_args(p_formula)
     p_formula.set_defaults(func=cmd_formula)
 
-    p_verify = sub.add_parser("verify", parents=[common], help="formula-vs-oracle sweep")
+    p_verify = sub.add_parser("verify", parents=[output, field, tables],
+                              help="formula-vs-oracle sweep")
     p_verify.add_argument("--m-min", type=int, default=2, dest="m_min")
     p_verify.add_argument("--m-max", type=int, default=5, dest="m_max")
     p_verify.add_argument("--n-max", type=int, default=13, dest="n_max")
@@ -382,14 +386,14 @@ def build_parser() -> argparse.ArgumentParser:
                           help="record per-instance wall time (breaks byte-identical output)")
     p_verify.set_defaults(func=cmd_verify)
 
-    p_split = sub.add_parser("split", parents=[common], help="Betti-splitting check")
+    p_split = sub.add_parser("split", parents=[output, field], help="Betti-splitting check")
     _params_args(p_split, with_n=False)
     p_split.add_argument("--ideal", help="ideal text form")
     p_split.add_argument("--var", type=int,
                          help="split at this variable (default: last variable)")
     p_split.set_defaults(func=cmd_split)
 
-    p_cert = sub.add_parser("cert", parents=[common],
+    p_cert = sub.add_parser("cert", parents=[output, field],
                             help="free vertex / shelling / sequential-CM certificates")
     _params_args(p_cert, with_n=False)
     p_cert.add_argument("--clutter", help="clutter text form, e.g. 'n=5; {1,2,3},{3,4,5}'")
@@ -399,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--cap-seqcm", type=int, default=SEQ_CM_CAP_N, dest="cap_seqcm")
     p_cert.set_defaults(func=cmd_cert)
 
-    p_open = sub.add_parser("open-problem", parents=[common],
+    p_open = sub.add_parser("open-problem", parents=[output, field, tables],
                             help="regularity data in the regime without a closed form")
     p_open.add_argument("--n-max", type=int, default=13, dest="n_max")
     p_open.add_argument("--csv", action="store_true")

@@ -6,16 +6,16 @@ Reduced homology uses the augmented chain complex: the empty face spans
 the degree -1 term, so the irrelevant complex {∅} has one dimension of
 homology in degree -1 and nonempty complexes have none there.
 
-``FaceIndex`` is the one builder of simplicial boundary columns.  It numbers
-the faces within each size, builds each face's boundary column once in the
-form of the field's reducer, and marks for each vertex the rows whose face
-contains it and the rows of its closed star.  The Hochster route of
-``betti`` restricts its columns to each induced subcomplex, relative to the
-closed star of one of its vertices; the sequential Cohen-Macaulay test of
-``topology`` reads every skeleton and link off it, and
-``reduced_homology_dims`` ranks its columns as they are.  The strand route
-of ``betti`` builds its own columns, so the two exponential Betti routes
-share no inner loop.
+``FaceIndex`` is the one builder of simplicial boundary columns, the same
+for every field: each a row mask, with its signs in a second mask.  It also
+marks for each vertex the rows whose face contains it and the rows of its
+closed star, and its ``pivots`` restricts columns and reduces them over a
+field.  The Hochster route of ``betti`` ranks each induced subcomplex
+relative to the closed star of one of its vertices; the sequential
+Cohen-Macaulay test of ``topology`` reads every skeleton and link off the
+index, and ``reduced_homology_dims`` ranks its columns as they are.  The
+strand route of ``betti`` builds its own columns, so the two exponential
+Betti routes share no inner loop.
 """
 
 from __future__ import annotations
@@ -100,22 +100,22 @@ class SimplicialComplex:
 
 class FaceIndex:
     """The faces of a downward-closed family numbered within each size, with
-    their boundary columns over a field and per-vertex row masks.
+    their boundary columns and per-vertex row masks; nothing in it depends
+    on a field.
 
     ``faces[g]`` lists the faces of size g in increasing mask order; a face's
     row is its position there.  ``columns[g][r]`` is the boundary of the face
     f in row r of size g, the sum of (-1)^pos (f minus its pos-th vertex)
-    over the rows of size g - 1, in the form ``fields.reducer`` takes: a
-    bitmask over GF(2), a dict row -> +-1 mod p over GF(p) or row -> +-1 over
-    the rationals (the empty face has the zero column).  ``holding[g][v]``
-    marks the rows of size g whose face contains vertex v, for v < n, the
-    largest vertex of a face plus one.  ``star[g][v]`` marks the rows of
-    size g in the closed star of v: the faces that contain v, and the faces
-    F without v for which F + {v} is a face.  It is empty unless {v} is a
-    face.
+    over the rows of size g - 1, as the mask of those rows; ``odd[g][r]``
+    marks the rows of sign -1, those at odd pos (the empty face has the zero
+    column).  ``holding[g][v]`` marks the rows of size g whose face contains
+    vertex v, for v < n, the largest vertex of a face plus one.
+    ``star[g][v]`` marks the rows of size g in the closed star of v: the
+    faces that contain v, and the faces F without v for which F + {v} is a
+    face.  It is empty unless {v} is a face.
     """
 
-    def __init__(self, faces: Iterable[int], field: FieldSpec):
+    def __init__(self, faces: Iterable[int]):
         ordered = sorted(faces)
         self.n = ordered[-1].bit_length() if ordered else 0
         top = max((f.bit_count() for f in ordered), default=-1)
@@ -123,13 +123,12 @@ class FaceIndex:
         for f in ordered:
             self.faces[f.bit_count()].append(f)
         row = {f: r for sized in self.faces for r, f in enumerate(sized)}
-        p = field.p
-        minus = p - 1 if p else -1
-        self.columns: list[list] = []
+        self.columns: list[list[int]] = []
+        self.odd: list[list[int]] = []
         self.holding: list[list[int]] = []
         self.star: list[list[int]] = []
         for sized in self.faces:
-            columns = []
+            columns, odd = [], []
             holding = [0] * self.n
             # f minus its vertex v is a face of the closed star of v; the
             # empty face, the only one without a face below, has no terms
@@ -139,19 +138,40 @@ class FaceIndex:
                 rest = f
                 while rest:
                     low = rest & -rest
-                    t = row[f ^ low]
-                    terms.append(t)
+                    term = 1 << row[f ^ low]
+                    terms.append(term)
                     v = low.bit_length() - 1
                     holding[v] |= 1 << r
-                    star_below[v] |= 1 << t
+                    star_below[v] |= term
                     rest ^= low
-                if p == 2:
-                    columns.append(sum(1 << t for t in terms))
-                else:
-                    columns.append({t: minus if pos % 2 else 1 for pos, t in enumerate(terms)})
+                columns.append(sum(terms))
+                odd.append(sum(terms[1::2]))
             self.columns.append(columns)
+            self.odd.append(odd)
             self.holding.append(holding)
             self.star.append(list(holding))
+
+    def pivots(self, g: int, rows: int, below: int, field: FieldSpec) -> dict:
+        """The pivot dict of ``fields.reducer(field)`` on the columns of the
+        rows of size g set in ``rows``, each restricted to the rows of size
+        g - 1 set in ``below``; its length is their rank.  A column goes in
+        as its mask over GF(2), otherwise as a dict row -> 1, or -1 (p - 1
+        over GF(p)) on the rows ``odd`` marks.
+        """
+        columns, odd, p = self.columns[g], self.odd[g], field.p
+        minus = p - 1 if p else -1
+        cols: list = []
+        while rows:
+            low = rows & -rows
+            rows ^= low
+            r = low.bit_length() - 1
+            column = columns[r] & below
+            if p != 2:
+                # iter_bits counts from 1: the sign of row t - 1 is bit t of 2 * odd
+                signs = odd[r] << 1
+                column = {t - 1: minus if signs >> t & 1 else 1 for t in iter_bits(column)}
+            cols.append(column)
+        return reducer(field)(cols)
 
 
 def reduced_homology_dims(
@@ -168,10 +188,10 @@ def reduced_homology_dims(
         return {}
     if cx.vertices.bit_count() > cap:
         raise CapExceeded(f"complex has {cx.vertices.bit_count()} vertices, cap is {cap}")
-    index = FaceIndex(cx.faces(), field)
-    reduce = reducer(field)
-    # ranks[g]: rank of the boundary of the faces of size g
-    ranks = [len(reduce(columns)) for columns in index.columns] + [0]
+    index = FaceIndex(cx.faces())
+    # ranks[g]: rank of the boundary of the faces of size g (below = -1 keeps every row)
+    ranks = [len(index.pivots(g, (1 << len(f)) - 1, -1, field)) for g, f in enumerate(index.faces)]
+    ranks.append(0)
     return {
         g - 1: len(faces) - ranks[g] - ranks[g + 1] for g, faces in enumerate(index.faces)
     }

@@ -248,6 +248,8 @@ def monomial_to_text(m: Monomial, compact: bool = False) -> str:
 
 
 def monomial_from_text(text: str) -> Monomial:
+    """Parse ``x1*x3``, ``{1,3}`` or ``1``.  A repeated variable is refused:
+    the monomial would not be squarefree."""
     s = text.strip()
     if s == "1":
         return Monomial(0)
@@ -255,14 +257,17 @@ def monomial_from_text(text: str) -> Monomial:
         body = s[1:-1].strip()
         if not body:
             return Monomial(0)
-        return Monomial.from_vars(int(t) for t in body.split(","))
-    indices = []
-    for part in s.split("*"):
-        part = part.strip()
-        match = re.fullmatch(r"x(\d+)", part)
-        if not match:
-            raise ValueError(f"cannot parse monomial factor {part!r}")
-        indices.append(int(match.group(1)))
+        indices = [int(t) for t in body.split(",")]
+    else:
+        indices = []
+        for part in s.split("*"):
+            part = part.strip()
+            match = re.fullmatch(r"x(\d+)", part)
+            if not match:
+                raise ValueError(f"cannot parse monomial factor {part!r}")
+            indices.append(int(match.group(1)))
+    if len(set(indices)) != len(indices):
+        raise ValueError(f"monomial {s!r} repeats a variable (monomials are squarefree)")
     return Monomial.from_vars(indices)
 
 

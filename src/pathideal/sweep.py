@@ -24,12 +24,13 @@ from typing import Iterator, Optional
 
 from .betti import betti_table, depth_of, invariants_of
 from .caps import SUBSET_CAP_N, TAYLOR_CAP_K, CapExceeded
-from .fields import FieldSpec, parse_field
+from .fields import GF2, FieldSpec, parse_field
 from .monomials import ideal_to_text
 from .pathfamily import (
     Branch,
     PathParams,
     classify,
+    classify_branch,
     formula_result,
     make_path_ideal,
 )
@@ -45,6 +46,8 @@ OPEN_PROBLEM_COLUMNS = [
     "m", "l", "k", "n", "s", "p", "d",
     "pd_oracle", "reg_oracle", "reg_small_overlap_formula", "coincides",
 ]
+# the keys an open-problem record takes from the sweep record of its instance
+OPEN_PROBLEM_EVALUATED = ("m", "l", "k", "n", "s", "p", "d", "pd_oracle", "reg_oracle")
 
 
 def iter_param_grid(
@@ -177,7 +180,7 @@ def run_sweep(
 
 def open_problem_sweep(
     n_max: int = 13,
-    field: Optional[FieldSpec] = None,
+    field: FieldSpec = GF2,
     method: str = "auto",
     cap_n: int = SUBSET_CAP_N,
     cap_k: int = TAYLOR_CAP_K,
@@ -191,46 +194,25 @@ def open_problem_sweep(
     An instance beyond a cap is recorded with ``status`` "skipped", its
     ``reason`` and no oracle values, and reported on ``log``.
     """
-    from .fields import GF2
-
-    field = field if field is not None else GF2
     log = log if log is not None else sys.stderr
     records = []
-    for m in range(2, n_max + 1):
-        for l in range(1, m):
-            if classify(PathParams(m, l, 1)).branch is not Branch.OFFSET_STEP:
-                continue
-            k = 1
-            while True:
-                params = PathParams(m, l, k)
-                if params.n > n_max:
-                    break
-                regime = classify(params)
-                ideal = make_path_ideal(params)
-                small_overlap_value = (params.k - 1) * (m - l - 1) + m
-                record = {
-                    "m": m, "l": l, "k": k, "n": params.n,
-                    "s": regime.s, "p": regime.p, "d": regime.d,
-                    "reg_small_overlap_formula": small_overlap_value,
-                    "ideal": ideal_to_text(ideal),
-                }
-                try:
-                    table = betti_table(ideal, field, method, cap_n=cap_n, cap_k=cap_k)
-                except CapExceeded as exc:
-                    record.update(
-                        pd_oracle=None, reg_oracle=None, coincides=None,
-                        status="skipped", reason=str(exc),
-                    )
-                    print(f"skipped {params}: {exc}", file=log)
-                else:
-                    inv = invariants_of(table)
-                    record.update(
-                        pd_oracle=inv.pd, reg_oracle=inv.reg,
-                        coincides=inv.reg == small_overlap_value,
-                    )
-                records.append(record)
-                k += 1
-    records.sort(key=lambda r: (r["m"], r["l"], r["k"]))
+    for params in iter_param_grid(2, n_max, n_max):
+        if classify_branch(params.m, params.l) is not Branch.OFFSET_STEP:
+            continue
+        evaluated = evaluate_instance(params, field, method, cap_n, cap_k)
+        record = {key: evaluated[key] for key in OPEN_PROBLEM_EVALUATED}
+        small_overlap_value = (params.k - 1) * (params.m - params.l - 1) + params.m
+        record.update(
+            reg_small_overlap_formula=small_overlap_value,
+            ideal=ideal_to_text(make_path_ideal(params)),
+            coincides=None,
+        )
+        if evaluated["status"] == "skipped":
+            record.update(status="skipped", reason=evaluated["reason"])
+            print(f"skipped {params}: {evaluated['reason']}", file=log)
+        else:
+            record["coincides"] = evaluated["reg_oracle"] == small_overlap_value
+        records.append(record)
     return records
 
 

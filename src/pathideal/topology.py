@@ -38,7 +38,7 @@ from .caps import (
     CapExceeded,
 )
 from .complexes import FaceIndex, SimplicialComplex
-from .fields import FieldSpec, reducer
+from .fields import FieldSpec
 from .monomials import MonomialIdeal, _canonical_sorted, _in_canonical_order, _minimal_masks, iter_bits
 
 
@@ -439,9 +439,11 @@ def _links_acyclic_below_top(index: FaceIndex, skeleton: list[int], field: Field
     of ``index``, up to its top size.  The link of sigma, the faces tau
     missing sigma with tau | sigma a face, is read off the faces rho of the
     subcomplex that contain sigma, the AND of the index's holding masks of
-    the vertices of sigma: keep their columns, restricted to the rows, one
-    size down, of the faces containing sigma.  Every column is ranked; no
-    column is skipped by clearing.
+    the vertices of sigma: ``FaceIndex.pivots`` reduces their columns,
+    restricted to the rows, one size down, of the faces containing sigma,
+    with the signs of the index's ``odd`` masks, those of the faces rho
+    and not of the link.  Every column is ranked; no column is skipped by
+    clearing.
 
     Proof that the ranks are those of the link.  Map tau to rho = tau | sigma;
     this matches the link faces of size h with the faces of size |sigma| + h
@@ -462,8 +464,6 @@ def _links_acyclic_below_top(index: FaceIndex, skeleton: list[int], field: Field
     skipped.
     """
     top = len(skeleton) - 1
-    gf2 = field.p == 2
-    reduce = reducer(field)
     for d in range(top - 1):
         rows = skeleton[d]
         while rows:
@@ -478,18 +478,8 @@ def _links_acyclic_below_top(index: FaceIndex, skeleton: list[int], field: Field
                 for v in vertices:
                     containing &= index.holding[g][v]
                 kept = containing & skeleton[g]
-                columns = index.columns[g]
-                cols: list = []
-                while kept:
-                    bit = kept & -kept
-                    kept ^= bit
-                    column = columns[bit.bit_length() - 1]
-                    if gf2:
-                        cols.append(column & below)
-                    else:
-                        cols.append({r: c for r, c in column.items() if below >> r & 1})
-                sizes.append(len(cols))
-                ranks.append(len(reduce(cols)))
+                sizes.append(kept.bit_count())
+                ranks.append(len(index.pivots(g, kept, below, field)))
                 below = containing
             ranks.append(0)
             if any(sizes[h] - ranks[h] - ranks[h + 1] for h in range(len(sizes) - 1)):
@@ -515,8 +505,7 @@ def is_sequentially_cm(
         raise ValueError("void complex")
     if cx.vertices.bit_count() > cap:
         raise CapExceeded(f"{cx.vertices.bit_count()} vertices exceed cap {cap}")
-    index = FaceIndex(cx.faces(), field)
-    gf2 = field.p == 2
+    index = FaceIndex(cx.faces())
     for t in range(1, len(index.faces)):
         skeleton = [0] * t + [(1 << len(index.faces[t])) - 1]
         for g in range(t, 0, -1):
@@ -524,8 +513,7 @@ def is_sequentially_cm(
             while rows:
                 low = rows & -rows
                 rows ^= low
-                column = index.columns[g][low.bit_length() - 1]
-                skeleton[g - 1] |= column if gf2 else sum(1 << r for r in column)
+                skeleton[g - 1] |= index.columns[g][low.bit_length() - 1]
         if not _links_acyclic_below_top(index, skeleton, field):
             return False
     return True

@@ -251,8 +251,22 @@ def test_invalid_arguments_exit_two(capsys):
     assert info.value.code == 2
     code, _, err = run(capsys, "betti", "--ideal", "garbage")
     assert code == 2 and "error" in err
+    code, _, err = run(capsys, "betti", "--ideal", "n=2; (x1*x1)")  # not squarefree
+    assert code == 2 and "repeats a variable" in err
     with pytest.raises(SystemExit) as info:
         main(["gen"])  # no ideal selected
+    assert info.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--m", "3", "--l", "1", "--k", "2", "--field", "rat"],
+    ["formula", "--m", "3", "--l", "1", "--k", "2", "--method", "both"],
+    ["split", "--m", "3", "--l", "1", "--k", "2", "--cap-n", "3"],
+    ["cert", "--m", "3", "--l", "1", "--k", "2", "--method", "taylor"],
+])
+def test_options_a_subcommand_does_not_read_are_refused(argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
     assert info.value.code == 2
 
 

@@ -11,7 +11,7 @@ from pathideal.caps import CapExceeded
 from pathideal.complexes import FaceIndex, SimplicialComplex, reduced_homology_dims
 from pathideal.fields import GF2, QQ, FieldSpec
 
-from oracles import homology_dims
+from oracles import homology_dims, reference_rank
 
 
 def cx(n, *facets):
@@ -26,6 +26,12 @@ def cx(n, *facets):
 
 def nonzero(dims):
     return {d: h for d, h in dims.items() if h}
+
+
+def signed_column(index, g, r):
+    """Column r of size g of the index as a dict row -> +-1 over the integers."""
+    column, odd = index.columns[g][r], index.odd[g][r]
+    return {t: -1 if odd >> t & 1 else 1 for t in range(column.bit_length()) if column >> t & 1}
 
 
 def test_triangle_boundary_is_a_circle():
@@ -93,12 +99,12 @@ def test_boundary_composition_is_zero():
         facets = [rng.randint(1, (1 << n) - 1) for _ in range(rng.randint(1, 5))]
         complexes.append(SimplicialComplex.from_faces(n, facets))
     for complex_ in complexes:
-        columns = FaceIndex(complex_.faces(), QQ).columns
-        for g in range(2, len(columns)):
-            for column in columns[g]:
+        index = FaceIndex(complex_.faces())
+        for g in range(2, len(index.faces)):
+            for r in range(len(index.faces[g])):
                 acc = {}
-                for mid, c1 in column.items():
-                    for row, c2 in columns[g - 1][mid].items():
+                for mid, c1 in signed_column(index, g, r).items():
+                    for row, c2 in signed_column(index, g - 1, mid).items():
                         acc[row] = acc.get(row, 0) + c1 * c2
                 assert not any(acc.values()), (str(complex_), g)
 
@@ -106,8 +112,6 @@ def test_boundary_composition_is_zero():
 def test_face_index_of_a_triangle_and_an_edge():
     faces = cx(4, [1, 2, 3], [3, 4]).faces()
     by_size = [[0], [0b1, 0b10, 0b100, 0b1000], [0b11, 0b101, 0b110, 0b1100], [0b111]]
-    # the triangle's boundary {2,3} - {1,3} + {1,2}, in rows 2, 1 and 0
-    triangle = {GF2: 0b111, FieldSpec(3): {2: 1, 1: 2, 0: 1}, QQ: {2: 1, 1: -1, 0: 1}}
     # star[g][v], vertex v + 1: the closed stars of 1 and 2 are the triangle,
     # that of 3 is everything, that of 4 the edge {3,4}
     star = [
@@ -116,19 +120,22 @@ def test_face_index_of_a_triangle_and_an_edge():
         [0b0111, 0b0111, 0b1111, 0b1000],
         [0b1, 0b1, 0b1, 0b0],
     ]
-    for field, column in triangle.items():
-        index = FaceIndex(faces, field)
-        assert index.faces == by_size
-        assert index.n == 4
-        assert index.columns[3] == [column]
-        for g, sized in enumerate(by_size):
-            for v in range(4):
-                assert index.holding[g][v] == sum(1 << r for r, f in enumerate(sized) if f >> v & 1)
-        assert index.star == star
-    assert FaceIndex([0], QQ).faces == [[0]]
-    assert FaceIndex([0], QQ).star == [[]]
-    assert FaceIndex([], QQ).faces == []
-    assert FaceIndex([], QQ).star == []
+    index = FaceIndex(faces)
+    assert index.faces == by_size
+    assert index.n == 4
+    # the triangle's boundary {2,3} - {1,3} + {1,2}, in rows 2, 1 and 0
+    assert index.columns[3] == [0b111]
+    assert index.odd[3] == [0b010]
+    assert signed_column(index, 3, 0) == {2: 1, 1: -1, 0: 1}
+    for g, sized in enumerate(by_size):
+        for v in range(4):
+            assert index.holding[g][v] == sum(1 << r for r, f in enumerate(sized) if f >> v & 1)
+    assert index.star == star
+    assert FaceIndex([0]).faces == [[0]]
+    assert FaceIndex([0]).columns == [[0]]
+    assert FaceIndex([0]).star == [[]]
+    assert FaceIndex([]).faces == []
+    assert FaceIndex([]).star == []
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -138,15 +145,46 @@ def test_face_index_of_a_triangle_and_an_edge():
 def test_face_index_star_is_the_closed_star(family):
     n, facets = family
     faces = SimplicialComplex.from_faces(n, facets).faces()
+    index = FaceIndex(faces)
+    assert len(index.star) == len(index.faces)
+    for g, sized in enumerate(index.faces):
+        assert len(index.star[g]) == index.n
+        for v in range(index.n):
+            assert index.star[g][v] == sum(
+                1 << r for r, f in enumerate(sized) if f | 1 << v in faces
+            ), (facets, g, v)
+
+
+@st.composite
+def restricted_boundaries(draw):
+    """A face index of a random complex, a face size g >= 1, and masks of
+    the rows of size g and of the rows of size g - 1."""
+    n = draw(st.integers(1, 8))
+    facets = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=6))
+    index = FaceIndex(SimplicialComplex.from_faces(n, facets).faces())
+    g = draw(st.integers(1, len(index.faces) - 1))
+    rows = draw(st.integers(0, (1 << len(index.faces[g])) - 1))
+    below = draw(st.integers(0, (1 << len(index.faces[g - 1])) - 1))
+    return index, g, rows, below
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(restricted_boundaries())
+def test_face_index_pivots_rank_the_restricted_boundary(case):
+    index, g, rows, below = case
+    # the dense signed matrix, rows of size g - 1 in below by columns in rows
+    kept = [f for r, f in enumerate(index.faces[g]) if rows >> r & 1]
+    kept_below = [f for t, f in enumerate(index.faces[g - 1]) if below >> t & 1]
+    row_of = {f: i for i, f in enumerate(kept_below)}
+    matrix = [[0] * len(kept) for _ in row_of]
+    for c, face in enumerate(kept):
+        for pos, v in enumerate(v for v in range(face.bit_length()) if face >> v & 1):
+            i = row_of.get(face & ~(1 << v))
+            if i is not None:
+                matrix[i][c] = (-1) ** pos
     for field in (GF2, FieldSpec(3), QQ):
-        index = FaceIndex(faces, field)
-        assert len(index.star) == len(index.faces)
-        for g, sized in enumerate(index.faces):
-            assert len(index.star[g]) == index.n
-            for v in range(index.n):
-                assert index.star[g][v] == sum(
-                    1 << r for r, f in enumerate(sized) if f | 1 << v in faces
-                ), (facets, g, v)
+        assert len(index.pivots(g, rows, below, field)) == reference_rank(matrix, field.p), (
+            index.faces, g, rows, below, field.label)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

@@ -238,6 +238,15 @@ def test_monomial_text_roundtrip():
     assert monomial_from_text("1") == Monomial(0)
 
 
+@pytest.mark.parametrize("text", ["x1*x1", "x2*x1*x2", "{1,1,2}", "{3, 3}"])
+def test_monomial_text_with_a_repeated_variable_is_refused(text):
+    # x1*x1 is not squarefree; it must not be read as x1
+    with pytest.raises(ValueError, match="repeats a variable"):
+        monomial_from_text(text)
+    with pytest.raises(ValueError, match="repeats a variable"):
+        ideal_from_text(f"n=3; ({text})")
+
+
 def test_ideal_text_roundtrip():
     i = ideal(5, [1, 2, 3], [3, 4, 5])
     text = ideal_to_text(i)

@@ -15,3 +15,26 @@ def test_no_result_is_guarded_only_by_assert():
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"assert statements in the package: {found}"
     assert len(list(SOURCE.glob("*.py"))) > 5
+
+
+def test_only_the_face_index_and_fields_name_the_reducers():
+    # complexes.FaceIndex.pivots restricts every simplicial boundary and
+    # calls the field's reducer; other modules rank through it or through
+    # fields.rank_sparse
+    names = {"reducer", "pivots_gf2", "pivots_gfp", "pivots_qq"}
+    found = set()
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                name = node.name
+            else:
+                continue
+            if name in names:
+                found.add(path.name)
+    assert found == {"fields.py", "complexes.py"}

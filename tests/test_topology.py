@@ -480,9 +480,9 @@ def test_seq_cm_builds_one_face_index_per_complex(monkeypatch):
     built = []
 
     class CountingIndex(FaceIndex):
-        def __init__(self, faces, field):
-            built.append(field)
-            super().__init__(faces, field)
+        def __init__(self, faces):
+            built.append(faces)
+            super().__init__(faces)
 
     # all sequentially CM, so that every skeleton is checked
     cxs = [cover_complex(C312), cover_complex(PATH_L4),
@@ -492,8 +492,13 @@ def test_seq_cm_builds_one_face_index_per_complex(monkeypatch):
     expected = [[is_sequentially_cm(cx, field) for field in fields] for cx in cxs]
     assert all(all(row) for row in expected) and max(cx.dim for cx in cxs) >= 2
     monkeypatch.setattr(topology, "FaceIndex", CountingIndex)
-    assert [[is_sequentially_cm(cx, field) for field in fields] for cx in cxs] == expected
-    assert built == [field for _ in cxs for field in fields]
+    calls = 0
+    for cx, row in zip(cxs, expected):
+        for field, verdict in zip(fields, row):
+            assert is_sequentially_cm(cx, field) == verdict
+            calls += 1
+            assert len(built) == calls, (str(cx), field.label)
+    assert calls == 12
 
 
 def test_seq_cm_cap():
