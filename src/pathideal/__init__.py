@@ -60,7 +60,6 @@ from .topology import (
     is_sequentially_cm,
     is_shelling,
     minimal_vertex_covers,
-    minors,
 )
 
 __version__ = "0.1.0"

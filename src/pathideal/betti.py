@@ -326,20 +326,6 @@ class ChainComplex:
         self.sizes = sizes
         self.boundaries = boundaries  # boundaries[g] defined for g >= 1
 
-    def composition_is_zero(self) -> bool:
-        """Check d∘d = 0 symbolically over the integers (hence over any field)."""
-        for g in range(2, len(self.sizes)):
-            upper = self.boundaries[g]
-            lower = self.boundaries[g - 1]
-            for col in upper:
-                acc: dict[int, int] = {}
-                for mid, c1 in col:
-                    for row, c2 in lower[mid]:
-                        acc[row] = acc.get(row, 0) + c1 * c2
-                if any(v != 0 for v in acc.values()):
-                    return False
-        return True
-
 
 def taylor_strand_complexes(
     ideal: MonomialIdeal, cap: int = TAYLOR_CAP_K

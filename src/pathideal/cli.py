@@ -263,10 +263,14 @@ def cmd_cert(args) -> int:
 
     payload: dict = {"clutter": str(clutter)}
     if clutter.n <= args.cap_minors:
-        fvp, counterexample = free_vertex_property(clutter, cap=args.cap_minors)
+        fvp, witness = free_vertex_property(clutter, cap=args.cap_minors)
         payload["free_vertex_property"] = fvp
-        if counterexample is not None:
-            payload["counterexample_minor"] = str(counterexample)
+        if witness is not None:
+            (zeros, ones), minor = witness
+            payload["counterexample_minor"] = str(minor)
+            payload["counterexample_assignment"] = {
+                "zeros": list(iter_bits(zeros)), "ones": list(iter_bits(ones)),
+            }
         payload["free_vertex_method"] = "minor enumeration"
     elif is_interval_clutter(clutter):
         payload["free_vertex_property"] = True
@@ -310,6 +314,10 @@ def cmd_cert(args) -> int:
         )
         if payload.get("counterexample_minor"):
             lines.append(f"  counterexample minor: {payload['counterexample_minor']}")
+            assignment = payload["counterexample_assignment"]
+            settings = [f"x{v} = 0" for v in assignment["zeros"]]
+            settings += [f"x{v} = 1" for v in assignment["ones"]]
+            lines.append(f"  counterexample assignment: {', '.join(settings) or 'none'}")
         if payload.get("shelling") is not None:
             lines.append("shelling: " + " -> ".join(str(f) for f in payload["shelling"]))
         else:

@@ -22,10 +22,10 @@ import sys
 import time
 from typing import Iterator, Optional
 
-from .betti import betti_table, depth_of, invariants_of
+from .betti import BettiTable, betti_table, depth_of, invariants_of
 from .caps import SUBSET_CAP_N, TAYLOR_CAP_K, CapExceeded
 from .fields import GF2, FieldSpec, parse_field
-from .monomials import ideal_to_text
+from .monomials import MonomialIdeal, ideal_to_text
 from .pathfamily import (
     Branch,
     PathParams,
@@ -46,8 +46,6 @@ OPEN_PROBLEM_COLUMNS = [
     "m", "l", "k", "n", "s", "p", "d",
     "pd_oracle", "reg_oracle", "reg_small_overlap_formula", "coincides",
 ]
-# the keys an open-problem record takes from the sweep record of its instance
-OPEN_PROBLEM_EVALUATED = ("m", "l", "k", "n", "s", "p", "d", "pd_oracle", "reg_oracle")
 
 
 def iter_param_grid(
@@ -70,6 +68,18 @@ def iter_param_grid(
                 if params.n > n_max or (k_max is not None and k > k_max):
                     break
                 yield params
+
+
+def _ideal_and_table(
+    params: PathParams, field: FieldSpec, method: str, cap_n: int, cap_k: int
+) -> tuple[MonomialIdeal, Optional[BettiTable], str]:
+    """The path ideal and its Betti table; beyond a cap the table is None
+    and the reason is the cap's message."""
+    ideal = make_path_ideal(params)
+    try:
+        return ideal, betti_table(ideal, field, method, cap_n=cap_n, cap_k=cap_k), ""
+    except CapExceeded as exc:
+        return ideal, None, str(exc)
 
 
 def evaluate_instance(
@@ -96,12 +106,10 @@ def evaluate_instance(
         "millis": 0, "status": "ok", "reason": "",
     }
     started = time.perf_counter()
-    try:
-        ideal = make_path_ideal(params)
-        table = betti_table(ideal, field, method, cap_n=cap_n, cap_k=cap_k)
-    except CapExceeded as exc:
+    ideal, table, reason = _ideal_and_table(params, field, method, cap_n, cap_k)
+    if table is None:
         record["status"] = "skipped"
-        record["reason"] = str(exc)
+        record["reason"] = reason
         return record
     inv = invariants_of(table)
     depths = depth_of(ideal, table)
@@ -199,19 +207,25 @@ def open_problem_sweep(
     for params in iter_param_grid(2, n_max, n_max):
         if classify_branch(params.m, params.l) is not Branch.OFFSET_STEP:
             continue
-        evaluated = evaluate_instance(params, field, method, cap_n, cap_k)
-        record = {key: evaluated[key] for key in OPEN_PROBLEM_EVALUATED}
+        regime = classify(params)
+        ideal, table, reason = _ideal_and_table(params, field, method, cap_n, cap_k)
         small_overlap_value = (params.k - 1) * (params.m - params.l - 1) + params.m
-        record.update(
-            reg_small_overlap_formula=small_overlap_value,
-            ideal=ideal_to_text(make_path_ideal(params)),
-            coincides=None,
-        )
-        if evaluated["status"] == "skipped":
-            record.update(status="skipped", reason=evaluated["reason"])
-            print(f"skipped {params}: {evaluated['reason']}", file=log)
+        record = {
+            "m": params.m, "l": params.l, "k": params.k, "n": params.n,
+            "s": regime.s, "p": regime.p, "d": regime.d,
+            "pd_oracle": None, "reg_oracle": None,
+            "reg_small_overlap_formula": small_overlap_value,
+            "ideal": ideal_to_text(ideal),
+            "coincides": None,
+        }
+        if table is None:
+            record.update(status="skipped", reason=reason)
+            print(f"skipped {params}: {reason}", file=log)
         else:
-            record["coincides"] = evaluated["reg_oracle"] == small_overlap_value
+            inv = invariants_of(table)
+            record.update(
+                pd_oracle=inv.pd, reg_oracle=inv.reg, coincides=inv.reg == small_overlap_value
+            )
         records.append(record)
     return records
 

@@ -11,21 +11,26 @@ The minimal covers are enumerated by a depth-first search whose cost
 follows their number, not the 2^n vertex subsets; the number of covers can
 still grow exponentially in n, so the enumeration keeps the subset cap.
 
+A shelling is first looked for in the canonical order, largest facet
+first; the capped backtracking search runs only when that order fails.
+
 The free vertex property is decided by a search over the distinct minors,
 each relabelled onto its support so that minors differing only in vertex
 names are visited once, by single-vertex steps x_v = 0 or x_v = 1.  The
-number of distinct minors still grows exponentially (on the length-2 path:
-23, 115, 559, 2,690 and 12,909 for n = 6, 9, 12, 15, 18), and a failure
-reruns the 3^v assignment walk of :func:`minors` to report the same first
-counterexample as that walk, so ``MINOR_CAP_N`` stays.  Sequential
-Cohen-Macaulayness builds one ``complexes.FaceIndex`` of the complex, takes
-each skeleton as masks of its rows and each link by restriction to the
-faces containing it.
+search remembers the minor each one was first reached from, so a minor
+with no free vertex is named by replaying that chain into one (zeros,
+ones) assignment of the clutter's own vertices; no 3^v assignment walk is
+run.  The number of distinct minors still grows exponentially (on the
+length-2 path: 23, 115, 559, 2,690 and 12,909 for n = 6, 9, 12, 15, 18),
+so ``MINOR_CAP_N`` stays.
+
+Sequential Cohen-Macaulayness builds one ``complexes.FaceIndex`` of the
+complex, takes each skeleton as masks of its rows and each link by
+restriction to the faces containing it.
 """
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
@@ -202,18 +207,24 @@ def is_shelling(facets_in_order: list[int] | tuple[int, ...]) -> bool:
 def find_shelling(
     cx: SimplicialComplex, cap: int = SHELLING_CAP_FACETS
 ) -> Optional[tuple[int, ...]]:
-    """Search for a shelling order of the facets; None when none exists.
+    """A shelling order of the facets; None when none exists.
 
-    Backtracking over facet prefixes; whether a facet may be appended
-    depends only on the set already placed, so failed sets are memoized.
-    Candidates are tried largest-dimension-first (a heuristic; the search
-    stays complete).
+    The canonical order, largest facet first and then lexicographic, is
+    checked first, with no cap: every shellable complex has a shelling in
+    which the facet sizes do not increase (Bjorner and Wachs, Shellable
+    nonpure complexes and posets I, 1996), and this order shells the cover
+    complex of every path clutter with n <= 16.  Only when it fails does
+    the search run, capped at ``cap`` facets: backtracking over facet
+    prefixes, where whether a facet may be appended depends only on the
+    set already placed, so failed sets are memoized.  Candidates are tried
+    in the canonical order, so the search returns that order whenever it
+    shells.
     """
     facets = sorted(cx.facets, key=lambda f: (-f.bit_count(), tuple(iter_bits(f))))
+    if is_shelling(facets):
+        return tuple(facets)
     if len(facets) > cap:
         raise CapExceeded(f"{len(facets)} facets exceed cap {cap}")
-    if len(facets) <= 1:
-        return tuple(facets)
     total = len(facets)
     dead: set[frozenset[int]] = set()
 
@@ -250,23 +261,6 @@ def find_shelling(
 # ---------------------------------------------------------------------------
 
 
-def _minor_edges(
-    edges: tuple[int, ...], zeros: int, ones: int
-) -> Optional[tuple[int, ...]]:
-    """The canonical edges of a minor, or None when it is the zero or the unit ideal."""
-    new_edges = []
-    for e in edges:
-        if e & zeros:
-            continue
-        shrunk = e & ~ones
-        if shrunk == 0:
-            return None
-        new_edges.append(shrunk)
-    if not new_edges:
-        return None
-    return _canonical_edges(new_edges)
-
-
 def apply_assignment(clutter: Clutter, zeros: int, ones: int) -> Optional[Clutter]:
     """Set the ``zeros`` vertices to 0 and the ``ones`` vertices to 1.
 
@@ -277,34 +271,15 @@ def apply_assignment(clutter: Clutter, zeros: int, ones: int) -> Optional[Clutte
     """
     if zeros & ones:
         raise ValueError("a vertex cannot be set to both 0 and 1")
-    edges = _minor_edges(clutter.edges, zeros, ones)
-    return None if edges is None else Clutter(clutter.n, edges)
-
-
-def minors(clutter: Clutter, cap: int = MINOR_CAP_N) -> Iterator[tuple[tuple[int, int], Clutter]]:
-    """All distinct minors, each with one witnessing (zeros, ones) assignment.
-
-    Enumerates the 3^v keep/0/1 assignments over the support vertices and
-    deduplicates on the resulting edge antichain, building a ``Clutter`` only
-    for a new one; the identity assignment is included, so the clutter
-    itself is always yielded first.
-    """
-    support = list(iter_bits(clutter.support))
-    if clutter.n > cap:
-        raise CapExceeded(f"n={clutter.n} exceeds cap {cap}")
-    seen: set[tuple[int, ...]] = set()
-    for choice in itertools.product((None, 0, 1), repeat=len(support)):
-        zeros = ones = 0
-        for v, c in zip(support, choice):
-            if c == 0:
-                zeros |= 1 << (v - 1)
-            elif c == 1:
-                ones |= 1 << (v - 1)
-        edges = _minor_edges(clutter.edges, zeros, ones)
-        if edges is None or edges in seen:
+    edges = []
+    for e in clutter.edges:
+        if e & zeros:
             continue
-        seen.add(edges)
-        yield (zeros, ones), Clutter(clutter.n, edges)
+        shrunk = e & ~ones
+        if shrunk == 0:
+            return None
+        edges.append(shrunk)
+    return Clutter(clutter.n, _canonical_edges(edges)) if edges else None
 
 
 def _free_vertices(edges: Iterable[int]) -> int:
@@ -338,11 +313,38 @@ def _squeeze(edges: list[int]) -> tuple[int, ...]:
     return tuple(sorted(edges))
 
 
-def _minors_have_free_vertices(edges: tuple[int, ...]) -> bool:
-    """True iff every minor of the clutter with these edges has a free vertex.
+def _single_steps(edges: tuple[int, ...]) -> Iterator[tuple[int, int, list[int]]]:
+    """The single-vertex steps from a clutter relabelled onto its support
+    that leave a proper nonzero ideal: ``(bit, value, step)``, where x_v =
+    value for the vertex v of ``bit`` gives the antichain ``step``.
+
+    A step keeps an antichain without a general minimalization: x_v = 0
+    keeps the edges that miss v, a subfamily; x_v = 1 shrinks the edges
+    through v to e - v, which stay pairwise incomparable, and drops each
+    edge f missing v that contains some e - v.  No such f lies inside an
+    e - v, as then f would lie inside e.
+    """
+    bit = 1
+    full = 1 << max(edges).bit_length()
+    while bit < full:
+        through = [e ^ bit for e in edges if e & bit]
+        missing = [e for e in edges if not e & bit]
+        if missing:  # x_v = 0, unless that leaves the zero ideal
+            yield bit, 0, missing
+        if 0 not in through:  # x_v = 1, unless {v} is an edge
+            yield bit, 1, through + [f for f in missing if not any(g & f == g for g in through)]
+        bit <<= 1
+
+
+def _minor_without_free_vertex(clutter: Clutter) -> Optional[tuple[int, int]]:
+    """A ``(zeros, ones)`` assignment whose minor of the clutter has no free
+    vertex, or None when every minor has one.
 
     The search visits each minor up to an order-preserving relabelling of its
-    support, once, by single-vertex steps x_v = 0 and x_v = 1.
+    support, once, by the single-vertex steps of ``_single_steps``.  It
+    remembers the minor each one was first reached from, so that
+    ``_assignment_reaching`` can name the first minor found without a free
+    vertex.
 
     Proof that it visits every minor.  A minor sets the vertices Z to 0 and
     O to 1; substitution is a ring map, so it commutes with minimalizing,
@@ -355,57 +357,83 @@ def _minors_have_free_vertices(edges: tuple[int, ...]) -> bool:
     lies in exactly one edge, so it suffices to step from one relabelled
     copy of each minor.
 
-    A step keeps an antichain without a general minimalization: x_v = 0
-    keeps the edges that miss v, a subfamily; x_v = 1 shrinks the edges
-    through v to e - v, which stay pairwise incomparable, and drops each
-    edge f missing v that contains some e - v.  No such f lies inside an
-    e - v, as then f would lie inside e.
     """
-    start = _squeeze(list(edges))
-    seen = {start}
+    start = _squeeze(list(clutter.edges))
+    reached_from: dict[tuple[int, ...], Optional[tuple[int, ...]]] = {start: None}
     stack = [start]
     while stack:
         current = stack.pop()
         if not _free_vertices(current):
-            return False
-        bit = 1
-        full = 1 << max(current).bit_length()
-        while bit < full:
-            through = [e ^ bit for e in current if e & bit]
-            missing = [e for e in current if not e & bit]
-            steps = []
-            if missing:  # x_v = 0, unless that leaves the zero ideal
-                steps.append(missing)
-            if 0 not in through:  # x_v = 1, unless {v} is an edge
-                steps.append(through + [f for f in missing
-                                        if not any(g & f == g for g in through)])
-            for step in steps:
-                key = _squeeze(step)
-                if key not in seen:
-                    seen.add(key)
-                    stack.append(key)
-            bit <<= 1
-    return True
+            return _assignment_reaching(clutter, reached_from, current)
+        for _, _, step in _single_steps(current):
+            key = _squeeze(step)
+            if key not in reached_from:
+                reached_from[key] = current
+                stack.append(key)
+    return None
+
+
+def _assignment_reaching(
+    clutter: Clutter,
+    reached_from: dict[tuple[int, ...], Optional[tuple[int, ...]]],
+    minor: tuple[int, ...],
+) -> tuple[int, int]:
+    """The ``(zeros, ones)`` assignment of the clutter's own vertices that
+    replays the chain of first reaches from the start to ``minor``.
+
+    Proof that ``apply_assignment`` of it is ``minor`` on the clutter's own
+    labels.  Along the chain, keep for each minor the clutter's vertex
+    behind each of its relabelled vertices.  Each link is one step x_v =
+    value on a vertex of the minor's support, which is a vertex of the
+    clutter not yet set, so it joins zeros or ones, never both; the
+    vertices the step keeps keep their labels, in order, as the
+    relabelling preserves the vertex order.  By the proof in
+    ``_minor_without_free_vertex``, setting vertices one at a time gives
+    the minor of the whole assignment, so at every link the minor of the
+    assignment built so far is, after relabelling, the minor reached.
+    """
+    chain = [minor]
+    while reached_from[chain[-1]] is not None:
+        chain.append(reached_from[chain[-1]])
+    chain.reverse()
+    # labels[i]: the clutter's own vertex, as a bit, behind bit i of the minor
+    labels = [1 << (v - 1) for v in iter_bits(clutter.support)]
+    zeros = ones = 0
+    for here, there in zip(chain, chain[1:]):
+        bit, value, step = next(s for s in _single_steps(here) if _squeeze(s[2]) == there)
+        if value:
+            ones |= labels[bit.bit_length() - 1]
+        else:
+            zeros |= labels[bit.bit_length() - 1]
+        kept = 0
+        for e in step:
+            kept |= e
+        labels = [labels[v - 1] for v in iter_bits(kept)]
+    return zeros, ones
 
 
 def free_vertex_property(
     clutter: Clutter, cap: int = MINOR_CAP_N
-) -> tuple[bool, Optional[Clutter]]:
+) -> tuple[bool, Optional[tuple[tuple[int, int], Clutter]]]:
     """True iff every minor (the clutter itself included) has a free vertex.
 
     The distinct minors are searched up to relabelling, without walking the
-    3^v assignments (see ``_minors_have_free_vertices``).  On failure the
-    assignment walk of :func:`minors` is rerun and its first offending minor
-    is returned as the counterexample.
+    3^v assignments (see ``_minor_without_free_vertex``).  On failure the
+    second item is the witness ``((zeros, ones), minor)``: the assignment
+    and ``apply_assignment(clutter, zeros, ones)``, a minor with no free
+    vertex, which is checked before it is returned.
     """
     if clutter.n > cap:
         raise CapExceeded(f"n={clutter.n} exceeds cap {cap}")
-    if not clutter.edges or _minors_have_free_vertices(clutter.edges):
+    if not clutter.edges:
         return True, None
-    for _, minor in minors(clutter, cap):
-        if has_free_vertex(minor) is None:
-            return False, minor
-    raise RuntimeError(f"the minor search and the assignment walk disagree on {clutter}")
+    assignment = _minor_without_free_vertex(clutter)
+    if assignment is None:
+        return True, None
+    minor = apply_assignment(clutter, *assignment)
+    if minor is None or has_free_vertex(minor) is not None:
+        raise RuntimeError(f"the assignment {assignment} names no counterexample in {clutter}")
+    return False, (assignment, minor)
 
 
 def is_interval_clutter(clutter: Clutter) -> bool:

@@ -1,12 +1,17 @@
 """Slow reference constructions shared by the test modules.
 
 They use none of the package's linear algebra or face index: ranks come
-from a dense elimination with Fractions (or naive mod-p arithmetic).
+from a dense elimination with Fractions (or naive mod-p arithmetic), and
+the minors of a clutter from the walk over all 3^v assignments.
 """
 
+import itertools
 from fractions import Fraction
 
+from pathideal.caps import MINOR_CAP_N, CapExceeded
 from pathideal.complexes import SimplicialComplex
+from pathideal.monomials import iter_bits
+from pathideal.topology import apply_assignment
 
 
 def stanley_reisner_complex(ideal):
@@ -108,3 +113,36 @@ def apex_order(faces):
     faces = set(faces)
     vertices = [v for v in range(max(faces, default=0).bit_length()) if 1 << v in faces]
     return sorted(vertices, key=lambda v: (-len(closed_star(faces, v)), v))
+
+
+def composition_is_zero(chain):
+    """Whether d∘d = 0 in a ``ChainComplex``, symbolically over the integers
+    (hence over any field)."""
+    for g in range(2, len(chain.sizes)):
+        lower = chain.boundaries[g - 1]
+        for col in chain.boundaries[g]:
+            acc = {}
+            for mid, c1 in col:
+                for row, c2 in lower[mid]:
+                    acc[row] = acc.get(row, 0) + c1 * c2
+            if any(acc.values()):
+                return False
+    return True
+
+
+def minors(clutter, cap=MINOR_CAP_N):
+    """All distinct minors of a clutter, each with one witnessing (zeros,
+    ones) assignment, by the walk over the 3^v keep/0/1 assignments of the
+    support vertices, deduplicated on the minor; the identity assignment
+    comes first, so the clutter itself is yielded first."""
+    support = list(iter_bits(clutter.support))
+    if clutter.n > cap:
+        raise CapExceeded(f"n={clutter.n} exceeds cap {cap}")
+    seen = set()
+    for choice in itertools.product((None, 0, 1), repeat=len(support)):
+        zeros = sum(1 << (v - 1) for v, c in zip(support, choice) if c == 0)
+        ones = sum(1 << (v - 1) for v, c in zip(support, choice) if c == 1)
+        minor = apply_assignment(clutter, zeros, ones)
+        if minor is not None and minor.edges not in seen:
+            seen.add(minor.edges)
+            yield (zeros, ones), minor

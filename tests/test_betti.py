@@ -39,6 +39,7 @@ from oracles import (
     apex_order,
     boundary_ranks,
     closed_star,
+    composition_is_zero,
     homology_dims,
     stanley_reisner_complex,
 )
@@ -432,7 +433,7 @@ def test_taylor_strand_complexes_compose_to_zero():
 
     for ideal in ideals:
         for chain in taylor_strand_complexes(ideal).values():
-            assert chain.composition_is_zero()
+            assert composition_is_zero(chain)
 
 
 def test_membership_sanity_of_sr_faces():

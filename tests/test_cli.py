@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from pathideal import sweep
 from pathideal.cli import main
 from pathideal.fields import GF2
 from pathideal.sweep import (
@@ -188,8 +189,10 @@ def test_cert_cover_complex_at_the_cover_cap(capsys):
     code, out, _ = run(capsys, "cert", "--m", "2", "--l", "1", "--k", "15", "--json")
     assert code == 0
     payload = json.loads(out)
-    # n = 16 is the cover cap: the complex is built, its 86 facets too many to shell
+    # n = 16 is the cover cap: the complex is built, and its 86 facets, past
+    # the cap of the shelling search, shell in the canonical order
     assert len(payload["facets"]) == 86
+    assert len(payload["shelling"]) == 86 and "shelling_skipped" not in payload
     assert "cover_complex_skipped" not in payload
     code, out, _ = run(capsys, "cert", "--m", "2", "--l", "1", "--k", "16", "--json")
     assert code == 0
@@ -207,14 +210,22 @@ def test_cert_triangle_fails(capsys):
     code, out, _ = run(capsys, "cert", "--clutter", "n=3; {1,2},{2,3},{1,3}", "--json")
     payload = json.loads(out)
     assert payload["free_vertex_property"] is False
+    assert payload["counterexample_minor"] == "n=3; {1,2},{1,3},{2,3}"
+    assert payload["counterexample_assignment"] == {"zeros": [], "ones": []}
     assert code == 1
+    _, out, _ = run(capsys, "cert", "--clutter", "n=5; {1,2},{2,3},{1,3},{3,4,5}", "--json")
+    payload = json.loads(out)
+    assert payload["counterexample_minor"] == "n=5; {1,2},{1,3},{2,3}"
+    assert payload["counterexample_assignment"] == {"zeros": [4], "ones": []}
 
 
 def test_cert_counterexample_survives_optimized_mode():
     """Under ``python -O`` asserts vanish; the minor search's fallback must not."""
     env = source_env()
-    for text, minor in [("n=3; {1,2},{2,3},{1,3}", "n=3; {1,2},{1,3},{2,3}"),
-                        ("n=4; {1,2},{1,3},{2,3},{3,4}", "n=4; {1,2},{1,3},{2,3}")]:
+    for text, minor, assignment in [
+        ("n=3; {1,2},{2,3},{1,3}", "n=3; {1,2},{1,3},{2,3}", "none"),
+        ("n=4; {1,2},{1,3},{2,3},{3,4}", "n=4; {1,2},{1,3},{2,3}", "x4 = 0"),
+    ]:
         done = subprocess.run(
             [sys.executable, "-O", "-m", "pathideal.cli", "cert", "--clutter", text],
             capture_output=True, text=True, env=env, check=False,
@@ -222,6 +233,7 @@ def test_cert_counterexample_survives_optimized_mode():
         assert done.returncode == 1, done.stderr
         assert "free vertex property: False [minor enumeration]\n" in done.stdout
         assert f"  counterexample minor: {minor}\n" in done.stdout
+        assert f"  counterexample assignment: {assignment}\n" in done.stdout
 
 
 def test_open_problem_contains_spot_value(capsys):
@@ -353,6 +365,15 @@ def test_open_problem_records_cap_overflow_as_skipped():
     assert "skipped" in log.getvalue()
     # the records that ran are the same as without the cap
     assert [r for r in capped if "status" not in r] == [r for r in full if r["k"] <= 2]
+
+
+def test_open_problem_builds_each_path_ideal_once(monkeypatch):
+    calls = []
+    build = sweep.make_path_ideal
+    monkeypatch.setattr(sweep, "make_path_ideal", lambda params: calls.append(params) or build(params))
+    records = open_problem_sweep(n_max=11, method="taylor", cap_k=2, log=io.StringIO())
+    assert any(r.get("status") == "skipped" for r in records)
+    assert [(p.m, p.l, p.k) for p in calls] == [(r["m"], r["l"], r["k"]) for r in records]
 
 
 def test_open_problem_records_offset_regime_only():

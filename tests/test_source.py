@@ -38,3 +38,18 @@ def test_only_the_face_index_and_fields_name_the_reducers():
             if name in names:
                 found.add(path.name)
     assert found == {"fields.py", "complexes.py"}
+
+
+def test_no_package_module_walks_assignment_products():
+    # the free vertex search steps one vertex at a time; a 3^v walk over
+    # itertools.product belongs to the test oracles only
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module == "itertools":
+                if any(alias.name == "product" for alias in node.names):
+                    found.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Attribute) and node.attr == "product":
+                if isinstance(node.value, ast.Name) and node.value.id == "itertools":
+                    found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"itertools.product in the package: {found}"

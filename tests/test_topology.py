@@ -26,10 +26,9 @@ from pathideal.topology import (
     is_sequentially_cm,
     is_shelling,
     minimal_vertex_covers,
-    minors,
 )
 
-from oracles import homology_dims, stanley_reisner_complex
+from oracles import homology_dims, minors, stanley_reisner_complex
 
 
 def masks_to_sets(masks):
@@ -226,9 +225,31 @@ def test_is_shelling_rejects_wrong_order():
 
 
 def test_shelling_cap():
-    cx = SimplicialComplex.from_faces(13, [1 << i for i in range(13)])
+    # the cap bounds only the search: 13 points shell in the canonical order,
+    # 13 disjoint edges do not, and the search on them is refused
+    points = SimplicialComplex.from_faces(13, [1 << i for i in range(13)])
+    assert find_shelling(points, cap=12) == points.facets
+    edges = SimplicialComplex.from_faces(26, [0b11 << 2 * i for i in range(13)])
     with pytest.raises(CapExceeded):
-        find_shelling(cx, cap=12)
+        find_shelling(edges, cap=12)
+
+
+@st.composite
+def random_complexes(draw, n_max=7, max_facets=8):
+    n = draw(st.integers(1, n_max))
+    facets = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=max_facets))
+    return SimplicialComplex.from_faces(n, facets)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(random_complexes())
+def test_find_shelling_returns_the_canonical_order_when_it_shells(cx):
+    canonical = sorted(cx.facets, key=lambda f: (-f.bit_count(), tuple(iter_bits(f))))
+    order = find_shelling(cx)
+    if is_shelling(canonical):
+        assert order == tuple(canonical)
+    elif order is not None:
+        assert is_shelling(order) and sorted(order) == sorted(cx.facets)
 
 
 # ---------------------------------------------------------------------------
@@ -268,14 +289,6 @@ def test_minors_match_assignment_enumeration():
         assert list(minors(c)) == expected
 
 
-def test_minors_build_one_clutter_per_distinct_minor(monkeypatch):
-    built = []
-    check = Clutter.__post_init__
-    monkeypatch.setattr(Clutter, "__post_init__", lambda self: built.append(self) or check(self))
-    found = list(minors(C312))
-    assert len(built) == len(found) == len(set(built))
-
-
 def test_has_free_vertex_examples():
     assert has_free_vertex(C312) == 1
     assert has_free_vertex(TRIANGLE) is None
@@ -286,8 +299,11 @@ def test_has_free_vertex_examples():
 def test_free_vertex_property_examples():
     ok, counterexample = free_vertex_property(C312)
     assert ok and counterexample is None
-    ok, counterexample = free_vertex_property(TRIANGLE)
-    assert not ok and counterexample == TRIANGLE
+    ok, witness = free_vertex_property(TRIANGLE)
+    assert not ok and witness == ((0, 0), TRIANGLE)
+    # the free vertex 4 is set to 0, leaving the triangle
+    ok, witness = free_vertex_property(clutter(4, [1, 2], [1, 3], [2, 3], [3, 4]))
+    assert not ok and witness == ((0b1000, 0), clutter(4, [1, 2], [1, 3], [2, 3]))
     ok, _ = free_vertex_property(PATH_L4)
     assert ok
 
@@ -302,17 +318,30 @@ def free_vertices_by_count(c):
 
 
 def free_vertex_property_by_walk(c):
-    """The first minor of the assignment walk without a free vertex."""
-    for _, minor in minors(c):
-        if not free_vertices_by_count(minor):
-            return False, minor
-    return True, None
+    """Whether every minor of the assignment walk has a free vertex."""
+    return all(free_vertices_by_count(minor) for _, minor in minors(c))
+
+
+def check_free_vertex_witness(c):
+    """The verdict of ``free_vertex_property`` is the walk's, and a failure's
+    witness assignment re-derives a minor with no free vertex; returns the
+    witness."""
+    ok, witness = free_vertex_property(c)
+    assert ok == free_vertex_property_by_walk(c), str(c)
+    if ok:
+        assert witness is None
+        return None
+    (zeros, ones), minor = witness
+    assert zeros & ones == 0
+    assert apply_assignment(c, zeros, ones) == minor, str(c)
+    assert not free_vertices_by_count(minor), str(c)
+    return witness
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(random_clutters(n_max=8, max_edges=7))
 def test_free_vertex_property_matches_assignment_walk(c):
-    assert free_vertex_property(c) == free_vertex_property_by_walk(c), str(c)
+    check_free_vertex_witness(c)
     free = free_vertices_by_count(c)
     assert has_free_vertex(c) == (free[0] if free else None)
 
@@ -325,27 +354,31 @@ def test_free_vertex_property_fails_on_random_clutters():
     for _ in range(300):
         n = rng.randint(3, 7)
         c = Clutter.from_edges(n, [rng.randint(1, (1 << n) - 1) for _ in range(rng.randint(2, 6))])
-        ok, counterexample = free_vertex_property(c)
-        assert (ok, counterexample) == free_vertex_property_by_walk(c), str(c)
-        proper_minor += not ok and counterexample != c
+        witness = check_free_vertex_witness(c)
+        proper_minor += witness is not None and witness[1] != c
     assert proper_minor > 5
 
 
 def test_passing_free_vertex_property_walks_no_assignments(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise RuntimeError("minors called")
-
-    monkeypatch.setattr(topology, "minors", refuse)
+    # the search works on edge tuples: a passing clutter builds no Clutter,
+    # a failing one only its witness minor
+    built = []
+    check = Clutter.__post_init__
+    monkeypatch.setattr(Clutter, "__post_init__", lambda self: built.append(self) or check(self))
     for c in [C312, PATH_L4, clutter(4, [1, 2], [3, 4])] + path_family_clutters(9):
+        del built[:]
         assert free_vertex_property(c) == (True, None), str(c)
-    with pytest.raises(RuntimeError, match="minors called"):
-        free_vertex_property(TRIANGLE)  # the counterexample comes from the walk
+        assert built == []
+    for c in [TRIANGLE, clutter(5, [1, 2], [2, 3], [3, 1], [3, 4], [4, 5])]:
+        del built[:]
+        ok, (_, minor) = free_vertex_property(c)
+        assert not ok and built == [minor]
 
 
-def test_free_vertex_search_disagreeing_with_the_walk_raises(monkeypatch):
-    # the fallback is a RuntimeError, so it survives python -O
-    monkeypatch.setattr(topology, "_minors_have_free_vertices", lambda edges: False)
-    with pytest.raises(RuntimeError, match="disagree"):
+def test_free_vertex_witness_is_checked(monkeypatch):
+    # the check is a RuntimeError, so it survives python -O
+    monkeypatch.setattr(topology, "_minor_without_free_vertex", lambda c: (0, 0))
+    with pytest.raises(RuntimeError, match="names no counterexample"):
         free_vertex_property(C312)
 
 
