@@ -25,12 +25,11 @@ used as an oracle for itself.
 
 The combinatorial route restricts the faces to each W with per-vertex
 bitmasks, and ranks the chain complex of Delta_W relative to the closed
-star of one vertex of W, a cone whose faces need no rank (Mischaikow-Nanda,
-"Morse theory for filtrations and efficient computation of persistent
-homology", 2013, in its simplest case).  It reduces those boundary matrices
-from the top size down with clearing: the faces that are pivot rows one
-size up are skipped, as their columns are proven to reduce to zero (see
-``betti_hochster``).  The algebraic route ranks every column of an
+star of one vertex of W, a cone whose faces need no rank.  It reduces
+those boundary matrices from the top size down with clearing: the faces
+that are pivot rows one size up are skipped, as their columns are proven
+to reduce to zero.  Both steps, and their proofs, are in
+``FaceIndex.homology``.  The algebraic route ranks every column of an
 unreduced complex, so ``--method both`` checks a reduced and cleared
 computation against one that is neither, and a fault in the reduction or
 the clearing cannot hide in both routes at once.
@@ -143,14 +142,24 @@ def _face_masks(n: int, gen_masks: Iterable[int]) -> list[int]:
     in increasing order.
 
     Vertices are added one at a time: f + {v}, with f a face on the lower
-    vertices, is a face iff it contains no generator whose top vertex is v.
+    vertices, is a face iff it contains no generator whose top vertex is v,
+    that is, contains no rest g - {v} of such a generator g.
     """
-    gens = tuple(gen_masks)
+    # rests[v]: the generators whose top vertex is v, without v
+    rests: list[list[int]] = [[] for _ in range(n)]
+    for g in gen_masks:
+        top = g.bit_length() - 1
+        rests[top].append(g ^ (1 << top))
     faces = [0]
-    for v in range(n):
+    for v, ending in enumerate(rests):
         bit = 1 << v
-        rests = [g ^ bit for g in gens if g.bit_length() == v + 1]
-        faces += [f | bit for f in faces if all(f & r != r for r in rests)]
+        if not ending:
+            faces += [f | bit for f in faces]
+        elif len(ending) == 1:
+            rest = ending[0]
+            faces += [f | bit for f in faces if f & rest != rest]
+        else:
+            faces += [f | bit for f in faces if all(f & r != r for r in ending)]
     return faces
 
 
@@ -205,45 +214,22 @@ def betti_hochster(
     walked.
 
     Relative to a vertex star.  The vertices of Delta (the v with {v} a
-    face) are ordered once per ideal by the size of their closed star in
-    Delta, largest first, ties to the lower vertex; the apex of W is the
-    first of them in W.  The faces of Delta_W in the apex's closed star
-    (the index's ``star``) are dropped at every size, and each kept column
-    is restricted to the kept rows one size down: the result is the chain
-    complex of Delta_W relative to the closed star S of the apex in
-    Delta_W, and its homology is the reduced homology of Delta_W over every
-    field.  Proof: S is a subcomplex of Delta_W and a cone with apex v, so
-    its augmented chain complex is exact, as S contains {v} (the cone
-    operator F -> F + {v} is a contracting homotopy).  The long exact
-    sequence of the pair of augmented complexes then gives
-    H~_i(Delta_W) = H_i(C~(Delta_W) / C~(S)).  The quotient has the faces
-    outside S as its basis, and its differential is the boundary with the
-    rows of S deleted, which is what the restriction keeps.  S holds most
-    of the small faces of Delta_W, so far fewer columns are walked and
-    reduced.  When W holds no vertex of Delta, Delta_W = {∅} and its one
-    face is counted as it is.
+    face) are ordered once per ideal by ``FaceIndex.apexes``, largest
+    closed star in Delta first; the apex of W is the first of them in W.
+    The faces of Delta_W in the apex's closed star (the index's ``star``)
+    are dropped at every size: a face inside W is in the closed star of
+    the apex in Delta_W iff it is in the closed star in Delta, as W holds
+    the apex.  What is left are the cells of Delta_W relative to that star,
+    a cone, and ``FaceIndex.homology`` ranks them from the top size down
+    with clearing; its docstring proves that this gives the reduced
+    homology of Delta_W over every field.  The star holds most of the
+    small faces of Delta_W, so far fewer columns are walked and reduced.
+    When W holds no vertex of Delta, Delta_W = {∅} and its one face is
+    counted as it is.
 
-    Clearing.  The boundary matrices of the quotient are reduced from the
-    largest face size down, and the reduction of d_g (faces of size g to
-    faces of size g - 1) skips every face of size g that is the pivot row
-    of a reduced column of d_{g+1}.  This leaves rank d_g unchanged over
-    every field.  Proof: the reducer pivots each column on its largest
-    row.  A reduced column z of d_{g+1} is a combination of columns of
-    d_{g+1}, so d_g z = 0 (d∘d = 0 holds in the quotient as in Delta_W);
-    its entries lie on kept faces, and its pivot sigma is the one of
-    largest index, with a nonzero entry.  Solving d_g z = 0 for the column
-    of sigma writes it as a combination of the columns of d_g of kept
-    faces of smaller index.  Drop the cleared columns from the largest
-    index down: each, when dropped, is a combination of columns of smaller
-    index, none of which is dropped yet, so no drop changes the column
-    space.  The skipped columns would have reduced to zero anyway; skipping
-    them saves that work, and the rows they would have pivoted are read off
-    the reducer's pivot dict.
-
-    Only this route reduces against a star and clears.  The strand route
-    and the links of the sequential Cohen-Macaulay test rank every column,
-    so ``--method both`` compares this computation against one that does
-    neither.
+    The strand route ranks every column of an unreduced complex, so
+    ``--method both`` compares this computation against one that neither
+    reduces against a star nor clears.
     """
     _require_proper_nonzero(ideal)
     n = ideal.n
@@ -259,16 +245,10 @@ def betti_hochster(
         candidates = _union_closure(gen_masks)
     else:
         candidates = list(range(1, 1 << n))
-    star = index.star
-    # the vertices of Delta by closed-star size, largest first (sorted is
-    # stable, so ties keep the lower vertex first)
-    apexes = sorted(
-        (v for v in range(index.n) if star[0][v]),
-        key=lambda v: -sum(stars[v].bit_count() for stars in star),
-    )
+    apexes = index.apexes()
     # off_star[v][g]: the rows of size g outside the closed star of v; with
     # no vertex of Delta in W, Delta_W = {∅} keeps its one face
-    off_star = {v: [~stars[v] for stars in star] for v in apexes}
+    off_star = {v: [~stars[v] for stars in index.star] for v in apexes}
     no_apex = [-1] * len(index.faces)
     entries: dict[tuple[int, int], int] = {}
     for w in candidates:
@@ -290,22 +270,8 @@ def betti_hochster(
             if not rows:
                 break
             cells.append(rows & off[g])
-        # ranks[g]: rank of the boundary of the cells of size g
-        top = len(cells) - 1
-        ranks = [0] * (top + 2)
-        cleared = 0
-        for g in range(top, 0, -1):
-            rows = cells[g] & ~cleared
-            cleared = 0
-            if not rows:
-                continue
-            pivots = index.pivots(g, rows, cells[g - 1], field)
-            ranks[g] = len(pivots)
-            for h in pivots:
-                cleared |= 1 << h
         j = w.bit_count()
-        for g, rows in enumerate(cells):
-            h = rows.bit_count() - ranks[g] - ranks[g + 1]
+        for g, h in enumerate(index.homology(cells, field)):
             i = j - g - 1  # faces of size g have dimension g - 1
             if h and i >= 0:
                 entries[(i, j)] = entries.get((i, j), 0) + h
@@ -347,11 +313,14 @@ def taylor_strand_complexes(
         low = s & -s
         lcm[s] = lcm[s ^ low] | gen_masks[low.bit_length() - 1]
 
+    # groups[(h, j)]: the subsets with h generators and an lcm of degree j,
+    # in increasing order; position[s]: the place of s in its group
     groups: dict[tuple[int, int], list[int]] = {}
+    position = [0] * total
     for s in range(total):
-        key = (s.bit_count(), lcm[s].bit_count())
-        groups.setdefault(key, []).append(s)
-    index = {key: {s: i for i, s in enumerate(subsets)} for key, subsets in groups.items()}
+        group = groups.setdefault((s.bit_count(), lcm[s].bit_count()), [])
+        position[s] = len(group)
+        group.append(s)
 
     strands: dict[int, ChainComplex] = {}
     for j in sorted({j for _, j in groups}):
@@ -359,19 +328,21 @@ def taylor_strand_complexes(
         sizes = [len(groups.get((h, j), [])) for h in range(top + 1)]
         boundaries: list[list[list[tuple[int, int]]]] = [[]]
         for h in range(1, top + 1):
-            prev = index.get((h - 1, j), {})
             cols = []
             for s in groups.get((h, j), []):
-                entries_col = []
-                for pos in range(k):
-                    bit = 1 << pos
-                    if not s & bit:
-                        continue
-                    s2 = s ^ bit
-                    if lcm[s2] == lcm[s]:
-                        sign = -1 if (s & (bit - 1)).bit_count() % 2 else 1
-                        entries_col.append((prev[s2], sign))
-                cols.append(entries_col)
+                # the sign of dropping a generator is -1 to the number of
+                # generators of s below it: it alternates over the set bits
+                column = []
+                sign = 1
+                rest, whole = s, lcm[s]
+                while rest:
+                    bit = rest & -rest
+                    rest ^= bit
+                    smaller = s ^ bit
+                    if lcm[smaller] == whole:
+                        column.append((position[smaller], sign))
+                    sign = -sign
+                cols.append(column)
             boundaries.append(cols)
         strands[j] = ChainComplex(sizes, boundaries)
     return strands

@@ -9,13 +9,17 @@ homology in degree -1 and nonempty complexes have none there.
 ``FaceIndex`` is the one builder of simplicial boundary columns, the same
 for every field: each a row mask, with its signs in a second mask.  It also
 marks for each vertex the rows whose face contains it and the rows of its
-closed star, and its ``pivots`` restricts columns and reduces them over a
-field.  The Hochster route of ``betti`` ranks each induced subcomplex
-relative to the closed star of one of its vertices; the sequential
-Cohen-Macaulay test of ``topology`` reads every skeleton and link off the
-index, and ``reduced_homology_dims`` ranks its columns as they are.  The
-strand route of ``betti`` builds its own columns, so the two exponential
-Betti routes share no inner loop.
+closed star, within the whole family or within one pure skeleton
+(``skeleton``).  Its ``pivots`` restricts columns and reduces them over a
+field, and its ``homology`` reduces the boundaries of a chain complex given
+by rows of each size from the top size down with clearing.  The Hochster
+route of ``betti`` ranks each induced subcomplex relative to the closed star
+of one of its vertices, and the sequential Cohen-Macaulay test of
+``topology`` ranks each link of a skeleton relative to the closed star of
+one of its vertices; both call ``homology``, as ``reduced_homology_dims``
+does on the whole complex.  The strand route of ``betti`` builds its own
+columns and ranks every one of them, so the two exponential Betti routes
+share no inner loop.
 """
 
 from __future__ import annotations
@@ -173,6 +177,112 @@ class FaceIndex:
             cols.append(column)
         return reducer(field)(cols)
 
+    def homology(self, cells: list[int], field: FieldSpec) -> list[int]:
+        """The homology of the chain complex with the rows set in
+        ``cells[g]`` as its basis in size g and each boundary column
+        restricted to the cells one size down, over the field: its
+        dimension at each size, a list as long as ``cells``.
+
+        The restricted boundaries must compose to zero.  They do when the
+        cells of each size are the faces of a downward-closed family K
+        outside a subcomplex S of it: the restriction is then the
+        differential of the quotient C~(K) / C~(S) of augmented chain
+        complexes.
+
+        Relative to a vertex star.  When S is the closed star in K of a
+        vertex v of K (the faces F of K with F + {v} in K), the homology of
+        the quotient is the reduced homology of K over every field.  Proof:
+        S is a subcomplex of K and a cone with apex v, so its augmented
+        chain complex is exact, as S contains {v} (the cone operator
+        F -> F + {v} is a contracting homotopy).  The long exact sequence of
+        the pair then gives H~_i(K) = H_i(C~(K) / C~(S)).  The quotient has
+        the faces outside S as its basis, and its differential is the
+        boundary with the rows of S deleted, which is what the restriction
+        keeps (Mischaikow-Nanda, "Morse theory for filtrations and efficient
+        computation of persistent homology", 2013, in its simplest case).
+
+        Clearing.  The boundaries are reduced from the largest size down,
+        and the reduction of d_g (cells of size g to cells of size g - 1)
+        skips every cell of size g that is the pivot row of a reduced column
+        of d_{g+1} (Chen-Kerber, "Persistent homology computation with a
+        twist", 2011).  This leaves rank d_g unchanged over every field.
+        Proof: the reducer pivots each column on its largest row.  A reduced
+        column z of d_{g+1} is a combination of columns of d_{g+1}, so
+        d_g z = 0; its pivot sigma is its entry of largest index, which is
+        nonzero.  Solving d_g z = 0 for the column of sigma writes it as a
+        combination of the columns of d_g of cells of smaller index.  Drop
+        the cleared columns from the largest index down: each, when dropped,
+        is a combination of columns of smaller index, none of which is
+        dropped yet, so no drop changes the column space.  The skipped
+        columns would have reduced to zero anyway; skipping them saves that
+        work, and the rows they would have pivoted are read off the
+        reducer's pivot dict.
+        """
+        dims = [0] * len(cells)
+        # above: the rank of the boundary of the cells one size up
+        above = cleared = 0
+        for g in range(len(cells) - 1, 0, -1):
+            rows = cells[g] & ~cleared
+            rank = cleared = 0
+            if rows:
+                pivots = self.pivots(g, rows, cells[g - 1], field)
+                rank = len(pivots)
+                for h in pivots:
+                    cleared |= 1 << h
+            dims[g] = cells[g].bit_count() - rank - above
+            above = rank
+        dims[0] = cells[0].bit_count() - above
+        return dims
+
+    def skeleton(self, t: int) -> tuple[list[int], list[list[int]]]:
+        """The pure skeleton generated by the faces of size t: ``rows[g]``
+        marks its faces of size g, for g up to t, and ``star[g][v]`` the
+        rows of size g in its closed star of vertex v, as the index's
+        ``star`` does for the whole family.
+
+        It is walked from size t down.  The rows of size g - 1 are the terms
+        of the columns of the rows of size g, and the term f - u of the face
+        f joins the closed star of u.  Taken from its largest row down, the
+        terms of a column are f minus its vertices in increasing order: for
+        vertices u < w of f, f - u holds w and f - w does not, and they agree
+        above w, so f - u is the larger mask and the later row.
+        """
+        rows = [0] * t + [(1 << len(self.faces[t])) - 1]
+        star = [[0] * self.n for _ in range(t + 1)]
+        for g in range(t, 0, -1):
+            faces, columns, star_below = self.faces[g], self.columns[g], star[g - 1]
+            walk = rows[g]
+            while walk:
+                low = walk & -walk
+                walk ^= low
+                r = low.bit_length() - 1
+                column = columns[r]
+                rows[g - 1] |= column
+                f = faces[r]
+                while f:
+                    u = f & -f
+                    f ^= u
+                    term = 1 << (column.bit_length() - 1)
+                    column ^= term
+                    star_below[u.bit_length() - 1] |= term
+        for g, stars in enumerate(star):
+            kept = rows[g]
+            for v, held in enumerate(self.holding[g]):
+                stars[v] |= held & kept
+        return rows, star
+
+    def apexes(self) -> list[int]:
+        """The vertices of the family (the v with {v} a face) by the size of
+        their closed star, largest first, ties to the lower vertex.  The
+        callers rank a subcomplex relative to the closed star of the first
+        of them that it holds, its apex."""
+        star = self.star
+        # sorted is stable, so ties keep the lower vertex first
+        return sorted(
+            (v for v in range(self.n) if star[0][v]),
+            key=lambda v: -sum(stars[v].bit_count() for stars in star),
+        )
+
 
 def reduced_homology_dims(
     cx: SimplicialComplex, field: FieldSpec, cap: int = SUBSET_CAP_N
@@ -183,15 +293,13 @@ def reduced_homology_dims(
 
     The irrelevant complex {∅} has one dimension in degree -1; any complex
     with a vertex has none there.  The void complex has no homology at all.
+    Every face is a cell, and ``FaceIndex.homology`` reduces the boundaries
+    with clearing.
     """
     if cx.is_void:
         return {}
     if cx.vertices.bit_count() > cap:
         raise CapExceeded(f"complex has {cx.vertices.bit_count()} vertices, cap is {cap}")
     index = FaceIndex(cx.faces())
-    # ranks[g]: rank of the boundary of the faces of size g (below = -1 keeps every row)
-    ranks = [len(index.pivots(g, (1 << len(f)) - 1, -1, field)) for g, f in enumerate(index.faces)]
-    ranks.append(0)
-    return {
-        g - 1: len(faces) - ranks[g] - ranks[g + 1] for g, faces in enumerate(index.faces)
-    }
+    every = [(1 << len(faces)) - 1 for faces in index.faces]
+    return {g - 1: h for g, h in enumerate(index.homology(every, field))}

@@ -25,8 +25,12 @@ length-2 path: 23, 115, 559, 2,690 and 12,909 for n = 6, 9, 12, 15, 18),
 so ``MINOR_CAP_N`` stays.
 
 Sequential Cohen-Macaulayness builds one ``complexes.FaceIndex`` of the
-complex, takes each skeleton as masks of its rows and each link by
-restriction to the faces containing it.
+complex and checks its pure skeletons at the facet sizes only, each taken
+as masks of the index's rows with its own vertex stars.  Each link is read
+off by restriction to the faces containing it and ranked relative to the
+closed star of an apex vertex, from the top size down with clearing
+(``FaceIndex.homology``), as the Hochster route ranks each induced
+subcomplex.
 """
 
 from __future__ import annotations
@@ -459,19 +463,21 @@ def is_interval_clutter(clutter: Clutter) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _links_acyclic_below_top(index: FaceIndex, skeleton: list[int], field: FieldSpec) -> bool:
-    """Reisner-style check on a pure subcomplex: every link of every face
-    (the empty face included) has zero reduced homology below its dimension.
+def _links_acyclic_below_top(
+    index: FaceIndex, t: int, apexes: list[int], field: FieldSpec
+) -> bool:
+    """Reisner-style check on the pure skeleton generated by the faces of
+    size t of ``index``: every link of every face (the empty face included)
+    has zero reduced homology below its dimension.
 
-    The subcomplex is given by ``skeleton[g]``, a mask of the rows of size g
-    of ``index``, up to its top size.  The link of sigma, the faces tau
-    missing sigma with tau | sigma a face, is read off the faces rho of the
-    subcomplex that contain sigma, the AND of the index's holding masks of
-    the vertices of sigma: ``FaceIndex.pivots`` reduces their columns,
-    restricted to the rows, one size down, of the faces containing sigma,
-    with the signs of the index's ``odd`` masks, those of the faces rho
-    and not of the link.  Every column is ranked; no column is skipped by
-    clearing.
+    ``FaceIndex.skeleton`` gives the skeleton as a mask of its rows of each
+    size, and its closed star of each vertex likewise.  The link of sigma,
+    the faces tau missing sigma with tau | sigma in the skeleton, is read
+    off the faces rho of the skeleton that contain sigma, the AND of the
+    index's holding masks of the vertices of sigma: ``FaceIndex.homology``
+    reduces their columns, restricted to the rows, one size down, of the
+    faces containing sigma, with the signs of the index's ``odd`` masks,
+    those of the faces rho and not of the link.
 
     Proof that the ranks are those of the link.  Map tau to rho = tau | sigma;
     this matches the link faces of size h with the faces of size |sigma| + h
@@ -484,33 +490,47 @@ def _links_acyclic_below_top(index: FaceIndex, skeleton: list[int], field: Field
     (-1)^(sum of c(u) over u in rho - sigma), (-1)^c(u) = e(rho) * e(rho - u),
     so the restricted matrix is D * B * D', with B the link's boundary
     matrix and D, D' diagonal with entries +-1.  Ranks are unchanged, and so
-    is every reduced homology dimension.
+    is every reduced homology dimension; deleting the same rows and columns
+    from B keeps this form, and the restricted maps still compose to zero,
+    as D' * D' = 1 between two of them.
 
-    A face of size at least top - 1, top the largest face size, has a link
-    of dimension at most 0, whose only homology below the top could be in
-    dimension -1; a link with a vertex has none there, so such faces are
-    skipped.
+    Relative to an apex star, with clearing.  The apex of the link is the
+    first vertex u of ``apexes`` with sigma + u in the skeleton, so a vertex
+    of the link.  A link face tau is in the closed star of u in the link iff
+    tau + u is in the link, iff rho + u is in the skeleton, iff rho is in
+    the skeleton's closed star of u.  So dropping the rows of that star
+    leaves the cells of the link relative to the star of u, and
+    ``FaceIndex.homology`` gives their homology, the reduced homology of
+    the link, over every field, ranked from the top size down with clearing
+    (both proofs are in its docstring).  The empty face of the link, sigma
+    itself, lies in that star, so every cell has a size above |sigma|.
+
+    A face of size at least t - 1 has a link of dimension at most 0, whose
+    only homology below the top could be in dimension -1; a link with a
+    vertex has none there, so such faces are skipped.  Every other face
+    lies in a face of size t, so its link has a vertex and the apex exists.
     """
-    top = len(skeleton) - 1
-    for d in range(top - 1):
-        rows = skeleton[d]
-        while rows:
-            low = rows & -rows
-            rows ^= low
-            vertices = [v - 1 for v in iter_bits(index.faces[d][low.bit_length() - 1])]
-            # sizes[h] and ranks[h]: link faces of size h, rank of their
-            # boundary; below: the rows of size g - 1 that contain sigma
-            sizes, ranks, below = [1], [0], low
-            for g in range(d + 1, top + 1):
-                containing = (1 << len(index.faces[g])) - 1
+    rows, star = index.skeleton(t)
+    for d in range(t - 1):
+        walk = rows[d]
+        while walk:
+            low = walk & -walk
+            walk ^= low
+            sigma = index.faces[d][low.bit_length() - 1]
+            vertices = [v - 1 for v in iter_bits(sigma)]
+            # sigma is in the closed star of u, and u not in sigma, iff
+            # sigma + u is in the skeleton
+            apex = next(u for u in apexes if star[d][u] & low and not sigma >> u & 1)
+            # cells[g]: the rows of size g containing sigma, outside the
+            # apex's closed star; none has size d or less
+            cells = [0] * (d + 1)
+            for g in range(d + 1, t + 1):
+                containing = rows[g]
                 for v in vertices:
                     containing &= index.holding[g][v]
-                kept = containing & skeleton[g]
-                sizes.append(kept.bit_count())
-                ranks.append(len(index.pivots(g, kept, below, field)))
-                below = containing
-            ranks.append(0)
-            if any(sizes[h] - ranks[h] - ranks[h + 1] for h in range(len(sizes) - 1)):
+                cells.append(containing & ~star[g][apex])
+            # size t holds the link's top dimension, which may carry homology
+            if any(index.homology(cells, field)[:t]):
                 return False
     return True
 
@@ -520,28 +540,40 @@ def is_sequentially_cm(
 ) -> bool:
     """Sequential Cohen-Macaulayness over the given field.
 
-    Uses the skeleton criterion: the complex qualifies iff for every t the
-    pure subcomplex generated by its faces of size t is Cohen-Macaulay,
-    which is checked by vanishing of reduced homology of all face links
-    below top dimension.  No claim is made across characteristics.
+    Uses Duval's skeleton criterion (Duval, "Algebraic shifting and
+    sequentially Cohen-Macaulay simplicial complexes", Electron. J. Combin.
+    1996): the complex qualifies iff for every t the pure skeleton
+    Delta^[t], generated by its faces of size t, is Cohen-Macaulay, which
+    is checked by vanishing of reduced homology of all face links below
+    top dimension (``_links_acyclic_below_top``).  No claim is made across
+    characteristics.
 
-    One ``FaceIndex`` of the complex serves every skeleton: the skeleton of
-    size t takes every row of size t, and each lower size the rows in the
-    boundary columns of its rows one size up.
+    Only facet sizes.  Delta^[t] is checked only for the sizes t >= 2 of
+    the facets of Delta; a skeleton of size 1 is a set of points and has
+    no link to check.  Proof that the other sizes need no check: let t be
+    below the top size and not a facet size.  Every face of size t lies in
+    a larger face, so in one of size t + 1, and Delta^[t] is the set of
+    faces of size at most t of Delta^[t+1].  For a face sigma of size d of
+    Delta^[t], the check asks for H~_h(lk sigma) = 0 for h <= t - d - 2.
+    The homology in dimension h needs the link faces of size at most
+    h + 2 <= t - d only, that is the faces of size at most t containing
+    sigma, and those are the same in Delta^[t] and in Delta^[t+1].  The
+    link of sigma in Delta^[t+1] has dimension t - d, so the check of
+    Delta^[t+1] asks for the same vanishing, and the check of size t passes
+    when that of size t + 1 does.  By downward induction from the top size,
+    itself a facet size, every size passes when the facet sizes do.
+
+    Each link is ranked relative to the closed star of an apex vertex, with
+    clearing (proved in ``_links_acyclic_below_top``).  The apexes are
+    tried in the order of the Hochster route, largest closed star in Delta
+    first (``FaceIndex.apexes``).  One ``FaceIndex`` of the complex serves
+    every skeleton and every link.
     """
     if cx.is_void:
         raise ValueError("void complex")
     if cx.vertices.bit_count() > cap:
         raise CapExceeded(f"{cx.vertices.bit_count()} vertices exceed cap {cap}")
     index = FaceIndex(cx.faces())
-    for t in range(1, len(index.faces)):
-        skeleton = [0] * t + [(1 << len(index.faces[t])) - 1]
-        for g in range(t, 0, -1):
-            rows = skeleton[g]
-            while rows:
-                low = rows & -rows
-                rows ^= low
-                skeleton[g - 1] |= index.columns[g][low.bit_length() - 1]
-        if not _links_acyclic_below_top(index, skeleton, field):
-            return False
-    return True
+    apexes = index.apexes()
+    sizes = sorted({f.bit_count() for f in cx.facets})
+    return all(_links_acyclic_below_top(index, t, apexes, field) for t in sizes if t >= 2)

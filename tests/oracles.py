@@ -146,3 +146,45 @@ def minors(clutter, cap=MINOR_CAP_N):
         if minor is not None and minor.edges not in seen:
             seen.add(minor.edges)
             yield (zeros, ones), minor
+
+
+def taylor_strands_by_definition(ideal):
+    """The strands of the tensored subset resolution, straight from the
+    definition, as a map j -> (sizes, boundaries).
+
+    Subset S of the generators, in increasing mask order within its
+    (|S|, |lcm S|) group, has its row there; its boundary column has a term
+    for each position pos of S, in increasing order, whose generator can be
+    dropped without changing the lcm, with sign -1 to the number of
+    generators of S below pos.
+    """
+    gens = ideal.gen_masks()
+    k = len(gens)
+    lcm = [0] * (1 << k)
+    for s in range(1 << k):
+        for pos in range(k):
+            if s >> pos & 1:
+                lcm[s] |= gens[pos]
+    groups = {}
+    for s in range(1 << k):
+        groups.setdefault((s.bit_count(), lcm[s].bit_count()), []).append(s)
+    index = {key: {s: i for i, s in enumerate(subsets)} for key, subsets in groups.items()}
+    strands = {}
+    for j in sorted({j for _, j in groups}):
+        top = max(h for h, jj in groups if jj == j)
+        sizes = [len(groups.get((h, j), [])) for h in range(top + 1)]
+        boundaries = [[]]
+        for h in range(1, top + 1):
+            prev = index.get((h - 1, j), {})
+            cols = []
+            for s in groups.get((h, j), []):
+                col = []
+                for pos in range(k):
+                    bit = 1 << pos
+                    if s & bit and lcm[s ^ bit] == lcm[s]:
+                        sign = -1 if (s & (bit - 1)).bit_count() % 2 else 1
+                        col.append((prev[s ^ bit], sign))
+                cols.append(col)
+            boundaries.append(cols)
+        strands[j] = (sizes, boundaries)
+    return strands

@@ -10,6 +10,7 @@ import pathideal.betti
 import pathideal.fields
 from pathideal.betti import (
     BettiTable,
+    _face_masks,
     _intervals,
     betti_hochster,
     betti_interval,
@@ -17,6 +18,7 @@ from pathideal.betti import (
     betti_taylor_tor,
     depth_of,
     invariants_of,
+    taylor_strand_complexes,
 )
 from pathideal.caps import CapExceeded
 from pathideal.complexes import FaceIndex
@@ -42,6 +44,7 @@ from oracles import (
     composition_is_zero,
     homology_dims,
     stanley_reisner_complex,
+    taylor_strands_by_definition,
 )
 
 
@@ -429,11 +432,43 @@ def test_taylor_strand_complexes_compose_to_zero():
     ]
     for _ in range(15):
         ideals.append(random_proper_ideal(rng, rng.randint(2, 6), 4))
-    from pathideal.betti import taylor_strand_complexes
-
     for ideal in ideals:
         for chain in taylor_strand_complexes(ideal).values():
             assert composition_is_zero(chain)
+
+
+def crossval_ideals():
+    """The path ideals with m <= 5, n <= 12 and k <= 10, and the all-paths
+    ideals for m <= 4 with at most 10 generators."""
+    ideals = set()
+    for m in range(2, 6):
+        for l in range(1, m):
+            k = 1
+            while k <= 10 and k * (m - l) + l <= 12:
+                ideals.add(make_path_ideal(PathParams(m, l, k)))
+                k += 1
+    ideals |= {make_full_path_ideal(m, n) for m in range(2, 5) for n in range(m, 13) if n - m < 10}
+    return sorted(ideals, key=lambda ideal: (ideal.n, ideal.gen_masks()))
+
+
+def test_taylor_strand_complexes_match_the_definition():
+    rng = random.Random(20260105)
+    ideals = crossval_ideals() + [projective_plane_ideal()]
+    ideals += [random_proper_ideal(rng, rng.randint(2, 8), 8) for _ in range(40)]
+    for ideal in ideals:
+        strands = taylor_strand_complexes(ideal)
+        built = {j: (chain.sizes, chain.boundaries) for j, chain in strands.items()}
+        assert built == taylor_strands_by_definition(ideal), str(ideal)
+
+
+def test_face_masks_are_the_subsets_without_a_generator():
+    rng = random.Random(20260106)
+    ideals = crossval_ideals() + [projective_plane_ideal()]
+    ideals += [random_proper_ideal(rng, rng.randint(2, 9), 8) for _ in range(60)]
+    for ideal in ideals:
+        gens = ideal.gen_masks()
+        expected = [f for f in range(1 << ideal.n) if all(f & g != g for g in gens)]
+        assert _face_masks(ideal.n, gens) == expected, str(ideal)
 
 
 def test_membership_sanity_of_sr_faces():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pathideal.fields
 from pathideal.caps import CapExceeded
 from pathideal import topology
 from pathideal.complexes import FaceIndex, SimplicialComplex
@@ -28,7 +29,14 @@ from pathideal.topology import (
     minimal_vertex_covers,
 )
 
-from oracles import homology_dims, minors, stanley_reisner_complex
+from oracles import (
+    apex_order,
+    boundary_ranks,
+    closed_star,
+    homology_dims,
+    minors,
+    stanley_reisner_complex,
+)
 
 
 def masks_to_sets(masks):
@@ -507,6 +515,100 @@ def test_seq_cm_matches_link_complexes_on_failures():
     for cx in cxs:
         for field in (GF2, FieldSpec(3), QQ):
             assert is_sequentially_cm(cx, field) == sequentially_cm_by_link_complexes(cx, field)
+
+
+@st.composite
+def small_face_complexes(draw, n_max=8):
+    """Complexes generated by 3 to 8 random faces of 1 to 4 vertices each,
+    on 4 to 8 vertices, so often of mixed facet sizes."""
+    n = draw(st.integers(4, n_max))
+    face = st.sets(st.integers(0, n - 1), min_size=1, max_size=4).map(
+        lambda vertices: sum(1 << v for v in vertices))
+    return SimplicialComplex.from_faces(n, draw(st.lists(face, min_size=3, max_size=8)))
+
+
+def test_seq_cm_matches_link_complexes_on_random_complexes():
+    complexes, verdicts = [], []
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(small_face_complexes())
+    def check(cx):
+        complexes.append(cx)
+        for field in (GF2, FieldSpec(3), QQ):
+            verdict = is_sequentially_cm(cx, field)
+            assert verdict == sequentially_cm_by_link_complexes(cx, field), (str(cx), field)
+            verdicts.append(verdict)
+
+    check()
+    # the examples meet complexes of both kinds, and mixed facet sizes
+    assert any(verdicts) and not all(verdicts)
+    assert any(len({f.bit_count() for f in cx.facets}) > 1 for cx in complexes)
+
+
+def pure_skeleton(faces, t):
+    """The faces lying in a face of size t."""
+    tops = [f for f in faces if f.bit_count() == t]
+    return {f for f in faces if any(f & top == f for top in tops)}
+
+
+# sequentially CM, so that every link of every checked skeleton is ranked;
+# the tetrahedron with an edge has facet sizes 4 and 2 but not 3
+SEQ_CM_EXAMPLES = [
+    cover_complex(C312), cover_complex(PATH_L4),
+    cover_complex(clutter_of(make_path_ideal(PathParams(3, 1, 3)))),
+    cover_complex(clutter_of(make_path_ideal(PathParams(2, 1, 5)))),
+    SimplicialComplex.from_faces(4, [0b0111, 0b1000]),
+    SimplicialComplex.from_faces(5, [0b00111, 0b01100, 0b11000]),
+    SimplicialComplex.from_faces(5, [0b01111, 0b11000]),
+    SimplicialComplex.from_faces(6, [0b000111, 0b001110, 0b011100, 0b110000, 0b100001]),
+]
+
+
+def test_seq_cm_ranks_each_link_relative_to_an_apex_star_with_clearing(monkeypatch):
+    """The reducers receive, for each face sigma of each skeleton at a facet
+    size, the faces of its link outside the closed star of its apex but the
+    pivot rows of the relative boundary one size up; no other skeleton is
+    built."""
+    clearing_skipped = 0
+    for cx in SEQ_CM_EXAMPLES:
+        faces = cx.faces()
+        order = apex_order(faces)
+        sizes = sorted({f.bit_count() for f in cx.facets if f.bit_count() >= 2})
+        for field, name in ((GF2, "pivots_gf2"), (FieldSpec(3), "pivots_gfp"), (QQ, "pivots_qq")):
+            expected = cleared_only = 0
+            for t in sizes:
+                skeleton = pure_skeleton(faces, t)
+                for sigma in skeleton:
+                    if sigma.bit_count() > t - 2:
+                        continue
+                    link = {f & ~sigma for f in skeleton if f & sigma == sigma}
+                    counts, ranks = boundary_ranks(link, field)
+                    cleared_only += sum(counts[1:]) - sum(ranks[2:])
+                    apex = next(v for v in order if 1 << v in link)
+                    counts, ranks = boundary_ranks(link, field, drop=closed_star(link, apex))
+                    expected += sum(counts[1:]) - sum(ranks[2:])
+                    clearing_skipped += sum(ranks[2:])
+            received, built = [], []
+            original = getattr(pathideal.fields, name)
+            skeleton_of = FaceIndex.skeleton
+
+            def counting(columns, *args, **kwargs):
+                columns = list(columns)
+                received.append(len(columns))
+                return original(columns, *args, **kwargs)
+
+            def recording(index, t):
+                built.append(t)
+                return skeleton_of(index, t)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(pathideal.fields, name, counting)
+                patch.setattr(FaceIndex, "skeleton", recording)
+                assert is_sequentially_cm(cx, field), (str(cx), field.label)
+            assert built == sizes, str(cx)
+            assert sum(received) == expected, (str(cx), field.label)
+            assert sum(received) < cleared_only, (str(cx), field.label)
+    assert clearing_skipped > 0
 
 
 def test_seq_cm_builds_one_face_index_per_complex(monkeypatch):
