@@ -152,14 +152,12 @@ def _face_masks(n: int, gen_masks: Iterable[int]) -> list[int]:
         rests[top].append(g ^ (1 << top))
     faces = [0]
     for v, ending in enumerate(rests):
+        # the faces on the lower vertices that hold no rest, one rest at a time
+        kept = faces
+        for rest in ending:
+            kept = [f for f in kept if f & rest != rest]
         bit = 1 << v
-        if not ending:
-            faces += [f | bit for f in faces]
-        elif len(ending) == 1:
-            rest = ending[0]
-            faces += [f | bit for f in faces if f & rest != rest]
-        else:
-            faces += [f | bit for f in faces if all(f & r != r for r in ending)]
+        faces += [f | bit for f in kept]
     return faces
 
 

@@ -8,11 +8,12 @@ homology in degree -1 and nonempty complexes have none there.
 
 ``FaceIndex`` is the one builder of simplicial boundary columns, the same
 for every field: each a row mask, with its signs in a second mask.  It also
-marks for each vertex the rows whose face contains it and the rows of its
-closed star, within the whole family or within one pure skeleton
-(``skeleton``).  Its ``pivots`` restricts columns and reduces them over a
-field, and its ``homology`` reduces the boundaries of a chain complex given
-by rows of each size from the top size down with clearing.  The Hochster
+marks for each vertex the rows whose face contains it and, with one method
+(``stars``), the rows of its closed star within any downward-closed set of
+rows: the whole family, or one pure skeleton (``skeleton``).  Its
+``pivots`` restricts columns and reduces them over a field, and its
+``homology`` reduces the boundaries of a chain complex given by rows of
+each size from the top size down with clearing.  The Hochster
 route of ``betti`` ranks each induced subcomplex relative to the closed star
 of one of its vertices, and the sequential Cohen-Macaulay test of
 ``topology`` ranks each link of a skeleton relative to the closed star of
@@ -114,9 +115,8 @@ class FaceIndex:
     marks the rows of sign -1, those at odd pos (the empty face has the zero
     column).  ``holding[g][v]`` marks the rows of size g whose face contains
     vertex v, for v < n, the largest vertex of a face plus one.
-    ``star[g][v]`` marks the rows of size g in the closed star of v: the
-    faces that contain v, and the faces F without v for which F + {v} is a
-    face.  It is empty unless {v} is a face.
+    ``star[g][v]`` marks the rows of size g in the closed star of v, the
+    faces F with F + {v} a face (see ``stars``).
     """
 
     def __init__(self, faces: Iterable[int]):
@@ -130,30 +130,24 @@ class FaceIndex:
         self.columns: list[list[int]] = []
         self.odd: list[list[int]] = []
         self.holding: list[list[int]] = []
-        self.star: list[list[int]] = []
         for sized in self.faces:
             columns, odd = [], []
             holding = [0] * self.n
-            # f minus its vertex v is a face of the closed star of v; the
-            # empty face, the only one without a face below, has no terms
-            star_below = self.star[-1] if self.star else []
             for r, f in enumerate(sized):
+                bit = 1 << r
                 terms = []
                 rest = f
                 while rest:
                     low = rest & -rest
-                    term = 1 << row[f ^ low]
-                    terms.append(term)
-                    v = low.bit_length() - 1
-                    holding[v] |= 1 << r
-                    star_below[v] |= term
                     rest ^= low
+                    terms.append(1 << row[f ^ low])
+                    holding[low.bit_length() - 1] |= bit
                 columns.append(sum(terms))
                 odd.append(sum(terms[1::2]))
             self.columns.append(columns)
             self.odd.append(odd)
             self.holding.append(holding)
-            self.star.append(list(holding))
+        self.star = self.stars([(1 << len(sized)) - 1 for sized in self.faces])
 
     def pivots(self, g: int, rows: int, below: int, field: FieldSpec) -> dict:
         """The pivot dict of ``fields.reducer(field)`` on the columns of the
@@ -234,42 +228,45 @@ class FaceIndex:
         dims[0] = cells[0].bit_count() - above
         return dims
 
+    def stars(self, rows: list[int]) -> list[list[int]]:
+        """The closed stars of the vertices in the subfamily K with the rows
+        set in ``rows[g]`` as its faces of size g, which must be downward
+        closed: ``stars[g][v]`` marks the rows of size g of the faces F of K
+        with F + {v} in K.  It is empty unless {v} is in K.
+
+        They are the faces of K that contain v, and the terms F - u of the
+        boundary columns of the faces F of K one size up that contain v.
+        Proof: a face of K that contains v is its own F + {v}.  Of the terms
+        of such a column, F - v has F - v + {v} = F in K, and every other
+        term F - u is a face of K that contains v.  Conversely a face G of K
+        without v, with G + {v} in K, is the term (G + {v}) - v.
+        """
+        stars = [[held & kept for held in holding] for holding, kept in zip(self.holding, rows)]
+        for g in range(1, len(rows)):
+            columns, kept, below = self.columns[g], rows[g], stars[g - 1]
+            for v, held in enumerate(self.holding[g]):
+                walk = held & kept
+                star = below[v]
+                while walk:
+                    low = walk & -walk
+                    walk ^= low
+                    star |= columns[low.bit_length() - 1]
+                below[v] = star
+        return stars
+
     def skeleton(self, t: int) -> tuple[list[int], list[list[int]]]:
         """The pure skeleton generated by the faces of size t: ``rows[g]``
-        marks its faces of size g, for g up to t, and ``star[g][v]`` the
-        rows of size g in its closed star of vertex v, as the index's
-        ``star`` does for the whole family.
-
-        It is walked from size t down.  The rows of size g - 1 are the terms
-        of the columns of the rows of size g, and the term f - u of the face
-        f joins the closed star of u.  Taken from its largest row down, the
-        terms of a column are f minus its vertices in increasing order: for
-        vertices u < w of f, f - u holds w and f - w does not, and they agree
-        above w, so f - u is the larger mask and the later row.
+        marks its faces of size g, for g up to t, the rows in the columns of
+        its rows one size up, and ``star`` its closed stars, from ``stars``.
         """
         rows = [0] * t + [(1 << len(self.faces[t])) - 1]
-        star = [[0] * self.n for _ in range(t + 1)]
         for g in range(t, 0, -1):
-            faces, columns, star_below = self.faces[g], self.columns[g], star[g - 1]
-            walk = rows[g]
+            columns, walk = self.columns[g], rows[g]
             while walk:
                 low = walk & -walk
                 walk ^= low
-                r = low.bit_length() - 1
-                column = columns[r]
-                rows[g - 1] |= column
-                f = faces[r]
-                while f:
-                    u = f & -f
-                    f ^= u
-                    term = 1 << (column.bit_length() - 1)
-                    column ^= term
-                    star_below[u.bit_length() - 1] |= term
-        for g, stars in enumerate(star):
-            kept = rows[g]
-            for v, held in enumerate(self.holding[g]):
-                stars[v] |= held & kept
-        return rows, star
+                rows[g - 1] |= columns[low.bit_length() - 1]
+        return rows, self.stars(rows)
 
     def apexes(self) -> list[int]:
         """The vertices of the family (the v with {v} a face) by the size of

@@ -143,6 +143,8 @@ def test_face_index_of_a_triangle_and_an_edge():
     lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=6))))
 @example((3, [0]))  # the irrelevant complex {∅}
 def test_face_index_star_is_the_closed_star(family):
+    """The closed stars of the whole family, and for each size t those of
+    ``skeleton(t)``, the faces lying in a face of size t."""
     n, facets = family
     faces = SimplicialComplex.from_faces(n, facets).faces()
     index = FaceIndex(faces)
@@ -153,6 +155,18 @@ def test_face_index_star_is_the_closed_star(family):
             assert index.star[g][v] == sum(
                 1 << r for r, f in enumerate(sized) if f | 1 << v in faces
             ), (facets, g, v)
+    for t in range(1, len(index.faces)):
+        tops = [f for f in faces if f.bit_count() == t]
+        skeleton = {f for f in faces if any(f & top == f for top in tops)}
+        rows, star = index.skeleton(t)
+        assert len(rows) == len(star) == t + 1
+        for g in range(t + 1):
+            sized = index.faces[g]
+            assert rows[g] == sum(1 << r for r, f in enumerate(sized) if f in skeleton)
+            for v in range(index.n):
+                assert star[g][v] == sum(
+                    1 << r for r, f in enumerate(sized) if f | 1 << v in skeleton
+                ), (facets, t, g, v)
 
 
 @st.composite
