@@ -195,8 +195,8 @@ def betti_hochster(
     contributes nothing.
 
     The faces of Delta are enumerated once, and their ``FaceIndex`` gives
-    each face a row index within its size and its boundary column in those
-    indices, a row mask with its signs kept apart; ``FaceIndex.pivots``
+    each face a row, in one numbering of all faces, and its boundary column
+    in those rows, a row mask from which the signs follow; ``FaceIndex.pivots``
     restricts the columns and reduces them over the field.  For a
     subset W the columns of the faces inside W are exactly the boundary
     matrices of Delta_W: every term of the boundary of a face inside W is a
@@ -205,17 +205,17 @@ def betti_hochster(
     rows, so each rank of the augmented chain complex of Delta_W is the
     rank of its kept columns.
 
-    Restriction.  For each size g and vertex v a bitmask over the faces of
-    size g (the index's ``holding``) marks those that contain v.  The faces
-    of size g inside W are all faces of size g but those marked for a vertex
-    outside W, one AND-NOT per outside vertex, and only their set bits are
-    walked.
+    Restriction.  For each vertex v one bitmask over all faces (the index's
+    ``holding``) marks those that contain v.  The faces inside W are all
+    faces but those marked for a vertex outside W, one AND per outside
+    vertex over one mask, and the apex's closed star is dropped with one
+    more AND; ``FaceIndex.homology`` splits what is left by size.
 
     Relative to a vertex star.  The vertices of Delta (the v with {v} a
     face) are ordered once per ideal by ``FaceIndex.apexes``, largest
     closed star in Delta first; the apex of W is the first of them in W.
     The faces of Delta_W in the apex's closed star (the index's ``star``)
-    are dropped at every size: a face inside W is in the closed star of
+    are dropped: a face inside W is in the closed star of
     the apex in Delta_W iff it is in the closed star in Delta, as W holds
     the apex.  What is left are the cells of Delta_W relative to that star,
     a cone, and ``FaceIndex.homology`` ranks them from the top size down
@@ -235,39 +235,29 @@ def betti_hochster(
         raise CapExceeded(f"n={n} exceeds cap {cap}")
     gen_masks = ideal.gen_masks()
     index = FaceIndex(_face_masks(n, gen_masks))
-    # every[g]: all rows of size g; keep[g][v]: the rows of size g whose
-    # face misses vertex v
-    every = [(1 << len(faces)) - 1 for faces in index.faces]
-    keep = [[rows & ~held for held in holding] for rows, holding in zip(every, index.holding)]
+    # keep[v]: the rows whose face misses vertex v; off_star[v]: the rows
+    # outside the closed star of v
+    every = (1 << len(index.faces)) - 1
+    keep = [every ^ held for held in index.holding]
+    off_star = [every ^ star for star in index.star]
     if prune_cones:
         candidates = _union_closure(gen_masks)
     else:
         candidates = list(range(1, 1 << n))
     apexes = index.apexes()
-    # off_star[v][g]: the rows of size g outside the closed star of v; with
-    # no vertex of Delta in W, Delta_W = {∅} keeps its one face
-    off_star = {v: [~stars[v] for stars in index.star] for v in apexes}
-    no_apex = [-1] * len(index.faces)
     entries: dict[tuple[int, int], int] = {}
     for w in candidates:
-        outside = [v for v in range(index.n) if not w >> v & 1]
-        off = no_apex
+        # cells: the rows of the faces inside W and outside the closed star
+        # of the apex; with no vertex of Delta in W, Delta_W = {∅} keeps its
+        # one face
+        cells = every
+        for v in range(index.n):
+            if not w >> v & 1:
+                cells &= keep[v]
         for v in apexes:
             if w >> v & 1:
-                off = off_star[v]
+                cells &= off_star[v]
                 break
-        # cells[g]: the rows of the faces of size g inside W and outside the
-        # closed star of the apex, up to the largest size with a face inside
-        # W; the empty face is row 0 of size 0
-        cells = [1 & off[0]]
-        for g in range(1, len(index.faces)):
-            rows = every[g]
-            kept = keep[g]
-            for v in outside:
-                rows &= kept[v]
-            if not rows:
-                break
-            cells.append(rows & off[g])
         j = w.bit_count()
         for g, h in enumerate(index.homology(cells, field)):
             i = j - g - 1  # faces of size g have dimension g - 1

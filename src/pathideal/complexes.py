@@ -7,25 +7,27 @@ the degree -1 term, so the irrelevant complex {∅} has one dimension of
 homology in degree -1 and nonempty complexes have none there.
 
 ``FaceIndex`` is the one builder of simplicial boundary columns, the same
-for every field: each a row mask, with its signs in a second mask.  It also
-marks for each vertex the rows whose face contains it and, with one method
-(``stars``), the rows of its closed star within any downward-closed set of
-rows: the whole family, or one pure skeleton (``skeleton``).  Its
-``pivots`` restricts columns and reduces them over a field, and its
-``homology`` reduces the boundaries of a chain complex given by rows of
-each size from the top size down with clearing.  The Hochster
-route of ``betti`` ranks each induced subcomplex relative to the closed star
-of one of its vertices, and the sequential Cohen-Macaulay test of
-``topology`` ranks each link of a skeleton relative to the closed star of
-one of its vertices; both call ``homology``, as ``reduced_homology_dims``
-does on the whole complex.  The strand route of ``betti`` builds its own
-columns and ranks every one of them, so the two exponential Betti routes
-share no inner loop.
+for every field: it numbers all faces in one sequence of rows, by size and
+then by mask, and gives each face its boundary column as a mask of rows,
+from which the signs follow, as the rows follow the masks.  In the same
+pass it marks for each
+vertex, with one mask, the rows whose face contains it and the rows of its
+closed star.  Its ``pivots`` restricts columns and reduces them over a
+field, and its ``homology`` splits a mask of cells by size and reduces
+their boundaries from the top size down with clearing.  The Hochster route
+of ``betti`` ranks each induced subcomplex relative to the closed star of
+one of its vertices, and the sequential Cohen-Macaulay test of ``topology``
+ranks each link of a pure skeleton, in that skeleton's own index, relative
+to the closed star of one of its vertices; both call ``homology``, as
+``reduced_homology_dims`` does on the whole complex.  The strand route of
+``betti`` builds its own columns and ranks every one of them, so the two
+exponential Betti routes share no inner loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterable
 
 from .caps import SUBSET_CAP_N, CapExceeded
@@ -85,14 +87,13 @@ class SimplicialComplex:
     def faces(self) -> set[int]:
         """All faces, the empty face included (unless the complex is void)."""
         out: set[int] = set()
-        stack = list(self.facets)
-        while stack:
-            f = stack.pop()
-            if f in out:
-                continue
-            out.add(f)
-            for i in iter_bits(f):
-                stack.append(f & ~(1 << (i - 1)))
+        for facet in self.facets:
+            # every sub-mask of the facet, from the facet itself down to 0
+            f = facet
+            while f:
+                out.add(f)
+                f = (f - 1) & facet
+            out.add(0)
         return out
 
     def has_face(self, mask: int) -> bool:
@@ -104,84 +105,111 @@ class SimplicialComplex:
 
 
 class FaceIndex:
-    """The faces of a downward-closed family numbered within each size, with
-    their boundary columns and per-vertex row masks; nothing in it depends
-    on a field.
+    """The faces of a downward-closed family in one row numbering, with their
+    boundary columns and per-vertex row masks; nothing in it depends on a
+    field.
 
-    ``faces[g]`` lists the faces of size g in increasing mask order; a face's
-    row is its position there.  ``columns[g][r]`` is the boundary of the face
-    f in row r of size g, the sum of (-1)^pos (f minus its pos-th vertex)
-    over the rows of size g - 1, as the mask of those rows; ``odd[g][r]``
-    marks the rows of sign -1, those at odd pos (the empty face has the zero
-    column).  ``holding[g][v]`` marks the rows of size g whose face contains
-    vertex v, for v < n, the largest vertex of a face plus one.
-    ``star[g][v]`` marks the rows of size g in the closed star of v, the
-    faces F with F + {v} a face (see ``stars``).
+    ``faces`` lists the faces by size, and within a size in increasing mask
+    order; a face's row is its position there, and ``sized[g]`` marks the
+    rows of size g.  ``columns[r]`` is the boundary of the face f in row r,
+    the sum of (-1)^pos (f minus its pos-th vertex), as the mask of the rows
+    of those faces (the empty face has the zero column).  ``holding[v]``
+    marks the rows whose face contains vertex v, for v < n, the largest
+    vertex of a face plus one, and ``star[v]`` the rows in the closed star
+    of v, the faces F with F + {v} a face.  It is empty unless {v} is a face.
+
+    The signs need no mask of their own: the pos of a term is the number of
+    terms of the column in higher rows.  Proof: for vertices u < w of f, the
+    masks f - u and f - w differ only at u and w, and f - u holds w, so
+    f - u is the larger; within a size the rows follow the masks, so the
+    term of pos 0 has the highest row, and pos grows as the rows fall.
+
+    The closed stars come out of the pass that builds the columns: they are
+    the faces that contain v and the terms f - v of the faces f that contain
+    v.  Proof: a face that contains v is its own F + {v}, and f - v has
+    (f - v) + {v} = f a face.  Conversely a face F without v, with F + {v} a
+    face f, is the term f - v of f.
     """
 
     def __init__(self, faces: Iterable[int]):
-        ordered = sorted(faces)
-        self.n = ordered[-1].bit_length() if ordered else 0
-        top = max((f.bit_count() for f in ordered), default=-1)
-        self.faces: list[list[int]] = [[] for _ in range(top + 1)]
-        for f in ordered:
-            self.faces[f.bit_count()].append(f)
-        row = {f: r for sized in self.faces for r, f in enumerate(sized)}
-        self.columns: list[list[int]] = []
-        self.odd: list[list[int]] = []
-        self.holding: list[list[int]] = []
-        for sized in self.faces:
-            columns, odd = [], []
-            holding = [0] * self.n
-            for r, f in enumerate(sized):
-                bit = 1 << r
-                terms = []
-                rest = f
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    terms.append(1 << row[f ^ low])
-                    holding[low.bit_length() - 1] |= bit
-                columns.append(sum(terms))
-                odd.append(sum(terms[1::2]))
-            self.columns.append(columns)
-            self.odd.append(odd)
-            self.holding.append(holding)
-        self.star = self.stars([(1 << len(sized)) - 1 for sized in self.faces])
+        # sorted is stable: by size, and within a size by mask
+        self.faces: list[int] = sorted(sorted(faces), key=int.bit_count)
+        self.n = max(self.faces, default=0).bit_length()
+        row = {f: r for r, f in enumerate(self.faces)}
+        # a downward-closed family has faces of every size up to its top
+        self.sized: list[int] = []
+        start = 0
+        for _, group in groupby(self.faces, int.bit_count):
+            end = start + sum(1 for _ in group)
+            self.sized.append((1 << end) - (1 << start))
+            start = end
+        self.columns: list[int] = []
+        holding = [0] * self.n
+        # lacking[v]: the rows of the terms f - v, the faces F without v
+        # with F + {v} a face
+        lacking = [0] * self.n
+        for r, f in enumerate(self.faces):
+            bit = 1 << r
+            column = 0
+            rest = f
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                term = 1 << row[f ^ low]
+                column |= term
+                v = low.bit_length() - 1
+                holding[v] |= bit
+                lacking[v] |= term
+            self.columns.append(column)
+        self.holding = holding
+        self.star = [held | term for held, term in zip(holding, lacking)]
 
-    def pivots(self, g: int, rows: int, below: int, field: FieldSpec) -> dict:
-        """The pivot dict of ``fields.reducer(field)`` on the columns of the
-        rows of size g set in ``rows``, each restricted to the rows of size
-        g - 1 set in ``below``; its length is their rank.  A column goes in
-        as its mask over GF(2), otherwise as a dict row -> 1, or -1 (p - 1
-        over GF(p)) on the rows ``odd`` marks.
+    def pivots(self, rows: int, below: int, field: FieldSpec) -> int:
+        """The mask of the pivot rows of ``fields.reducer(field)`` on the
+        columns of the rows set in ``rows``, each restricted to the rows set
+        in ``below``; their number is the rank.  A column goes in as its mask
+        over GF(2), otherwise as a dict row -> (-1)^pos (p - 1 for -1 over
+        GF(p)), pos counted on the whole column (see the class docstring).
+        Rows and columns are counted from the first of each set, so that the
+        walks and the reducer handle masks no wider than the rows in use.
+        With no rows, or none below, the rank is 0 and the reducer is not
+        called.
         """
-        columns, odd, p = self.columns[g], self.odd[g], field.p
+        if not rows or not below:
+            return 0
+        columns, p = self.columns, field.p
         minus = p - 1 if p else -1
+        first = (rows & -rows).bit_length() - 1
+        base = (below & -below).bit_length() - 1
+        rows >>= first
+        below >>= base
         cols: list = []
         while rows:
             low = rows & -rows
             rows ^= low
-            r = low.bit_length() - 1
-            column = columns[r] & below
+            r = first + low.bit_length() - 1
+            column = columns[r] >> base
+            kept = column & below
             if p != 2:
-                # iter_bits counts from 1: the sign of row t - 1 is bit t of 2 * odd
-                signs = odd[r] << 1
-                column = {t - 1: minus if signs >> t & 1 else 1 for t in iter_bits(column)}
-            cols.append(column)
-        return reducer(field)(cols)
+                # iter_bits counts from 1: the terms above row t - 1 are the
+                # bits from t up, and the rows cut off below base are lower
+                kept = {t - 1: minus if (column >> t).bit_count() & 1 else 1 for t in iter_bits(kept)}
+            cols.append(kept)
+        pivots = 0
+        for h in reducer(field)(cols):
+            pivots |= 1 << h
+        return pivots << base
 
-    def homology(self, cells: list[int], field: FieldSpec) -> list[int]:
-        """The homology of the chain complex with the rows set in
-        ``cells[g]`` as its basis in size g and each boundary column
-        restricted to the cells one size down, over the field: its
-        dimension at each size, a list as long as ``cells``.
+    def homology(self, cells: int, field: FieldSpec) -> list[int]:
+        """The homology of the chain complex with the rows set in ``cells``
+        as its basis and each boundary column restricted to the cells one
+        size down, over the field: its dimension at each size, a list as
+        long as ``sized``.
 
         The restricted boundaries must compose to zero.  They do when the
-        cells of each size are the faces of a downward-closed family K
-        outside a subcomplex S of it: the restriction is then the
-        differential of the quotient C~(K) / C~(S) of augmented chain
-        complexes.
+        cells are the faces of a downward-closed family K outside a
+        subcomplex S of it: the restriction is then the differential of the
+        quotient C~(K) / C~(S) of augmented chain complexes.
 
         Relative to a vertex star.  When S is the closed star in K of a
         vertex v of K (the faces F of K with F + {v} in K), the homology of
@@ -210,63 +238,28 @@ class FaceIndex:
         dropped yet, so no drop changes the column space.  The skipped
         columns would have reduced to zero anyway; skipping them saves that
         work, and the rows they would have pivoted are read off the
-        reducer's pivot dict.
+        reducer's pivots.  With no cells one size down every column
+        restricts to zero, and d_g has rank 0 without a reduction.
         """
-        dims = [0] * len(cells)
-        # above: the rank of the boundary of the cells one size up
+        sized = self.sized
+        dims = [0] * len(sized)
+        if not cells:
+            return dims
+        # from the size of the last cell down; above: the rank of the
+        # boundary of the cells one size up, cleared: its pivot rows
+        top = self.faces[cells.bit_length() - 1].bit_count()
+        rows = cells & sized[top]
         above = cleared = 0
-        for g in range(len(cells) - 1, 0, -1):
-            rows = cells[g] & ~cleared
-            rank = cleared = 0
-            if rows:
-                pivots = self.pivots(g, rows, cells[g - 1], field)
-                rank = len(pivots)
-                for h in pivots:
-                    cleared |= 1 << h
-            dims[g] = cells[g].bit_count() - rank - above
+        for g in range(top, 0, -1):
+            below = cells & sized[g - 1]
+            kept = rows & ~cleared
+            cleared = self.pivots(kept, below, field) if kept and below else 0
+            rank = cleared.bit_count()
+            dims[g] = rows.bit_count() - rank - above
             above = rank
-        dims[0] = cells[0].bit_count() - above
+            rows = below
+        dims[0] = rows.bit_count() - above
         return dims
-
-    def stars(self, rows: list[int]) -> list[list[int]]:
-        """The closed stars of the vertices in the subfamily K with the rows
-        set in ``rows[g]`` as its faces of size g, which must be downward
-        closed: ``stars[g][v]`` marks the rows of size g of the faces F of K
-        with F + {v} in K.  It is empty unless {v} is in K.
-
-        They are the faces of K that contain v, and the terms F - u of the
-        boundary columns of the faces F of K one size up that contain v.
-        Proof: a face of K that contains v is its own F + {v}.  Of the terms
-        of such a column, F - v has F - v + {v} = F in K, and every other
-        term F - u is a face of K that contains v.  Conversely a face G of K
-        without v, with G + {v} in K, is the term (G + {v}) - v.
-        """
-        stars = [[held & kept for held in holding] for holding, kept in zip(self.holding, rows)]
-        for g in range(1, len(rows)):
-            columns, kept, below = self.columns[g], rows[g], stars[g - 1]
-            for v, held in enumerate(self.holding[g]):
-                walk = held & kept
-                star = below[v]
-                while walk:
-                    low = walk & -walk
-                    walk ^= low
-                    star |= columns[low.bit_length() - 1]
-                below[v] = star
-        return stars
-
-    def skeleton(self, t: int) -> tuple[list[int], list[list[int]]]:
-        """The pure skeleton generated by the faces of size t: ``rows[g]``
-        marks its faces of size g, for g up to t, the rows in the columns of
-        its rows one size up, and ``star`` its closed stars, from ``stars``.
-        """
-        rows = [0] * t + [(1 << len(self.faces[t])) - 1]
-        for g in range(t, 0, -1):
-            columns, walk = self.columns[g], rows[g]
-            while walk:
-                low = walk & -walk
-                walk ^= low
-                rows[g - 1] |= columns[low.bit_length() - 1]
-        return rows, self.stars(rows)
 
     def apexes(self) -> list[int]:
         """The vertices of the family (the v with {v} a face) by the size of
@@ -275,10 +268,7 @@ class FaceIndex:
         of them that it holds, its apex."""
         star = self.star
         # sorted is stable, so ties keep the lower vertex first
-        return sorted(
-            (v for v in range(self.n) if star[0][v]),
-            key=lambda v: -sum(stars[v].bit_count() for stars in star),
-        )
+        return sorted((v for v in range(self.n) if star[v]), key=lambda v: -star[v].bit_count())
 
 
 def reduced_homology_dims(
@@ -298,5 +288,5 @@ def reduced_homology_dims(
     if cx.vertices.bit_count() > cap:
         raise CapExceeded(f"complex has {cx.vertices.bit_count()} vertices, cap is {cap}")
     index = FaceIndex(cx.faces())
-    every = [(1 << len(faces)) - 1 for faces in index.faces]
+    every = (1 << len(index.faces)) - 1
     return {g - 1: h for g, h in enumerate(index.homology(every, field))}

@@ -8,9 +8,9 @@ rank is the number of pivots, and a caller can also read which rows are
 pivots (``complexes.FaceIndex.homology`` clears the columns of those rows
 one size down).  Two callers put columns into a reducer's form:
 ``complexes.FaceIndex.pivots`` the simplicial boundary columns, which the
-index keeps as row masks with their signs apart, and :func:`rank_sparse`
-sparse integer columns ``[(row, coeff), ...]``, as the strand route builds
-them.
+index keeps as row masks whose signs follow from the row order, and
+:func:`rank_sparse` sparse integer columns ``[(row, coeff), ...]``, as the
+strand route builds them.
 
 * GF(2) — columns are Python-int bitmasks, so a reduction step is one XOR.
 * GF(p), p an odd prime below 2^16 — dict columns with entries mod p.

@@ -13,7 +13,6 @@ output.
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import io
 import itertools
@@ -154,6 +153,10 @@ def run_sweep(
     """Sweep the grid and assemble a deterministic report dict."""
     grid = list(iter_param_grid(m_min, m_max, n_max, l_fixed, k_fixed, k_max))
     if jobs > 1:
+        # imported here, where a pool is used: it pulls in logging, which
+        # would slow down every start of the package
+        import concurrent.futures
+
         args = [(p.m, p.l, p.k, field.label, method, cap_n, cap_k, timing) for p in grid]
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             records = list(pool.map(_evaluate_worker, args))

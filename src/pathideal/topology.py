@@ -25,12 +25,13 @@ length-2 path: 23, 115, 559, 2,690 and 12,909 for n = 6, 9, 12, 15, 18),
 so ``MINOR_CAP_N`` stays.
 
 Sequential Cohen-Macaulayness builds one ``complexes.FaceIndex`` of the
-complex and checks its pure skeletons at the facet sizes only, each taken
-as masks of the index's rows with its own vertex stars.  Each link is read
-off by restriction to the faces containing it and ranked relative to the
-closed star of an apex vertex, from the top size down with clearing
-(``FaceIndex.homology``), as the Hochster route ranks each induced
-subcomplex.
+complex, for the order of its apex vertices, and checks its pure skeletons
+at the facet sizes only, each through its own ``FaceIndex`` with its own
+vertex stars (a pure complex is its own top skeleton and reuses the
+complex's index).  Each link is read off by restriction to the faces
+containing it and ranked relative to the closed star of an apex vertex,
+from the top size down with clearing (``FaceIndex.homology``), as the
+Hochster route ranks each induced subcomplex.
 """
 
 from __future__ import annotations
@@ -464,19 +465,17 @@ def is_interval_clutter(clutter: Clutter) -> bool:
 
 
 def _links_acyclic_below_top(
-    index: FaceIndex, t: int, apexes: list[int], field: FieldSpec
+    skeleton: FaceIndex, t: int, apexes: list[int], field: FieldSpec
 ) -> bool:
     """Reisner-style check on the pure skeleton generated by the faces of
-    size t of ``index``: every link of every face (the empty face included)
-    has zero reduced homology below its dimension.
+    size t, whose face index is ``skeleton``: every link of every face (the
+    empty face included) has zero reduced homology below its dimension.
 
-    ``FaceIndex.skeleton`` gives the skeleton as a mask of its rows of each
-    size, and its closed star of each vertex likewise.  The link of sigma,
-    the faces tau missing sigma with tau | sigma in the skeleton, is read
-    off the faces rho of the skeleton that contain sigma, the AND of the
-    index's holding masks of the vertices of sigma: ``FaceIndex.homology``
-    reduces their columns, restricted to the rows, one size down, of the
-    faces containing sigma, with the signs of the index's ``odd`` masks,
+    The link of sigma, the faces tau missing sigma with tau | sigma in the
+    skeleton, is read off the faces rho of the skeleton that contain sigma,
+    the AND of the index's holding masks of the vertices of sigma:
+    ``FaceIndex.homology`` reduces their columns, restricted to the rows of
+    the faces containing sigma, with the signs of the index's columns,
     those of the faces rho and not of the link.
 
     Proof that the ranks are those of the link.  Map tau to rho = tau | sigma;
@@ -510,29 +509,39 @@ def _links_acyclic_below_top(
     vertex has none there, so such faces are skipped.  Every other face
     lies in a face of size t, so its link has a vertex and the apex exists.
     """
-    rows, star = index.skeleton(t)
-    for d in range(t - 1):
-        walk = rows[d]
-        while walk:
-            low = walk & -walk
-            walk ^= low
-            sigma = index.faces[d][low.bit_length() - 1]
-            vertices = [v - 1 for v in iter_bits(sigma)]
-            # sigma is in the closed star of u, and u not in sigma, iff
-            # sigma + u is in the skeleton
-            apex = next(u for u in apexes if star[d][u] & low and not sigma >> u & 1)
-            # cells[g]: the rows of size g containing sigma, outside the
-            # apex's closed star; none has size d or less
-            cells = [0] * (d + 1)
-            for g in range(d + 1, t + 1):
-                containing = rows[g]
-                for v in vertices:
-                    containing &= index.holding[g][v]
-                cells.append(containing & ~star[g][apex])
-            # size t holds the link's top dimension, which may carry homology
-            if any(index.homology(cells, field)[:t]):
-                return False
+    every = (1 << len(skeleton.faces)) - 1
+    # the faces of size below t - 1: the rows below the first of size t - 1
+    first = skeleton.sized[t - 1]
+    walk = (first & -first) - 1
+    while walk:
+        low = walk & -walk
+        walk ^= low
+        sigma = skeleton.faces[low.bit_length() - 1]
+        # sigma is in the closed star of u, and u not in sigma, iff sigma + u
+        # is in the skeleton
+        apex = next(u for u in apexes if skeleton.star[u] & low and not sigma >> u & 1)
+        # cells: the rows containing sigma, outside the apex's closed star
+        cells = every & ~skeleton.star[apex]
+        for v in iter_bits(sigma):
+            cells &= skeleton.holding[v - 1]
+        # size t holds the link's top dimension, which may carry homology
+        if any(skeleton.homology(cells, field)[:t]):
+            return False
     return True
+
+
+def _pure_skeleton(cx: SimplicialComplex, t: int) -> set[int]:
+    """The faces of the pure skeleton Delta^[t], those lying in a face of
+    size t: the faces of size at most t of the facets of size at least t."""
+    faces = {0}
+    for facet in cx.facets:
+        if facet.bit_count() >= t:
+            f = facet
+            while f:
+                if f.bit_count() <= t:
+                    faces.add(f)
+                f = (f - 1) & facet
+    return faces
 
 
 def is_sequentially_cm(
@@ -566,8 +575,10 @@ def is_sequentially_cm(
     Each link is ranked relative to the closed star of an apex vertex, with
     clearing (proved in ``_links_acyclic_below_top``).  The apexes are
     tried in the order of the Hochster route, largest closed star in Delta
-    first (``FaceIndex.apexes``).  One ``FaceIndex`` of the complex serves
-    every skeleton and every link.
+    first (``FaceIndex.apexes`` of the complex's index).  Each checked
+    skeleton gets its own ``FaceIndex``, built from its faces, which serves
+    every link in it; a pure complex has one facet size, and its skeleton
+    there is the complex, so its own index serves.
     """
     if cx.is_void:
         raise ValueError("void complex")
@@ -576,4 +587,10 @@ def is_sequentially_cm(
     index = FaceIndex(cx.faces())
     apexes = index.apexes()
     sizes = sorted({f.bit_count() for f in cx.facets})
-    return all(_links_acyclic_below_top(index, t, apexes, field) for t in sizes if t >= 2)
+    for t in sizes:
+        if t >= 2:
+            # a pure complex is its own top skeleton
+            skeleton = index if len(sizes) == 1 else FaceIndex(_pure_skeleton(cx, t))
+            if not _links_acyclic_below_top(skeleton, t, apexes, field):
+                return False
+    return True

@@ -100,6 +100,17 @@ def boundary_ranks(faces, field, drop=()):
     return [len(faces_of_size) for faces_of_size in sized], ranks
 
 
+def columns_sent(sizes, ranks):
+    """The number of columns that a reduction from the top size down with
+    clearing, given the face counts and boundary ranks of
+    :func:`boundary_ranks`, sends to a reducer: at each size g >= 1 with
+    faces one size down, the faces of size g but the pivot rows of the
+    boundary one size up, as many as its rank; with no faces one size down
+    the columns are zero and none is sent."""
+    ranks = list(ranks) + [0]
+    return sum(sizes[g] - ranks[g + 1] for g in range(1, len(sizes)) if sizes[g - 1])
+
+
 def closed_star(faces, v):
     """The closed star of vertex v in a face family: the faces F for which
     F + {v} is also a face."""

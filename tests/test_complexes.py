@@ -28,10 +28,20 @@ def nonzero(dims):
     return {d: h for d, h in dims.items() if h}
 
 
-def signed_column(index, g, r):
-    """Column r of size g of the index as a dict row -> +-1 over the integers."""
-    column, odd = index.columns[g][r], index.odd[g][r]
-    return {t: -1 if odd >> t & 1 else 1 for t in range(column.bit_length()) if column >> t & 1}
+def signed_column(index, r):
+    """Column r of the index as a dict row -> +-1 over the integers, with
+    the sign rule of ``FaceIndex.pivots``: -1 to the number of terms in
+    higher rows."""
+    column = index.columns[r]
+    return {
+        t: (-1) ** (column >> t + 1).bit_count()
+        for t in range(column.bit_length()) if column >> t & 1
+    }
+
+
+def rows(*numbers):
+    """The mask of the given row numbers."""
+    return sum(1 << r for r in numbers)
 
 
 def test_triangle_boundary_is_a_circle():
@@ -100,42 +110,50 @@ def test_boundary_composition_is_zero():
         complexes.append(SimplicialComplex.from_faces(n, facets))
     for complex_ in complexes:
         index = FaceIndex(complex_.faces())
-        for g in range(2, len(index.faces)):
-            for r in range(len(index.faces[g])):
-                acc = {}
-                for mid, c1 in signed_column(index, g, r).items():
-                    for row, c2 in signed_column(index, g - 1, mid).items():
-                        acc[row] = acc.get(row, 0) + c1 * c2
-                assert not any(acc.values()), (str(complex_), g)
+        for r in range(len(index.faces)):
+            acc = {}
+            for mid, c1 in signed_column(index, r).items():
+                for row, c2 in signed_column(index, mid).items():
+                    acc[row] = acc.get(row, 0) + c1 * c2
+            assert not any(acc.values()), (str(complex_), r)
 
 
 def test_face_index_of_a_triangle_and_an_edge():
     faces = cx(4, [1, 2, 3], [3, 4]).faces()
-    by_size = [[0], [0b1, 0b10, 0b100, 0b1000], [0b11, 0b101, 0b110, 0b1100], [0b111]]
-    # star[g][v], vertex v + 1: the closed stars of 1 and 2 are the triangle,
-    # that of 3 is everything, that of 4 the edge {3,4}
-    star = [
-        [0b1, 0b1, 0b1, 0b1],
-        [0b0111, 0b0111, 0b1111, 0b1100],
-        [0b0111, 0b0111, 0b1111, 0b1000],
-        [0b1, 0b1, 0b1, 0b0],
-    ]
+    # rows 0 | 1-4 | 5-8 | 9, by size and then by mask
+    ordered = [0, 0b1, 0b10, 0b100, 0b1000, 0b11, 0b101, 0b110, 0b1100, 0b111]
     index = FaceIndex(faces)
-    assert index.faces == by_size
+    assert index.faces == ordered
     assert index.n == 4
-    # the triangle's boundary {2,3} - {1,3} + {1,2}, in rows 2, 1 and 0
-    assert index.columns[3] == [0b111]
-    assert index.odd[3] == [0b010]
-    assert signed_column(index, 3, 0) == {2: 1, 1: -1, 0: 1}
-    for g, sized in enumerate(by_size):
-        for v in range(4):
-            assert index.holding[g][v] == sum(1 << r for r, f in enumerate(sized) if f >> v & 1)
-    assert index.star == star
-    assert FaceIndex([0]).faces == [[0]]
-    assert FaceIndex([0]).columns == [[0]]
-    assert FaceIndex([0]).star == [[]]
-    assert FaceIndex([]).faces == []
-    assert FaceIndex([]).star == []
+    assert index.sized == [rows(0), rows(1, 2, 3, 4), rows(5, 6, 7, 8), rows(9)]
+    # the triangle's boundary {2,3} - {1,3} + {1,2}, in rows 7, 6 and 5
+    assert index.columns[9] == rows(5, 6, 7)
+    assert signed_column(index, 9) == {7: 1, 6: -1, 5: 1}
+    # the edge {3,4}: {4} - {3}
+    assert signed_column(index, 8) == {4: 1, 3: -1}
+    assert index.columns[0] == 0 and all(index.columns[r] == 1 for r in range(1, 5))
+    assert index.holding == [
+        rows(*(r for r, f in enumerate(ordered) if f >> v & 1)) for v in range(4)
+    ] == [rows(1, 5, 6, 9), rows(2, 5, 7, 9), rows(3, 6, 7, 8, 9), rows(4, 8)]
+    # the closed stars of vertices 1 and 2 are the triangle, that of 3 is
+    # everything, that of 4 the edge {3,4}
+    triangle = rows(0, 1, 2, 3, 5, 6, 7, 9)
+    assert index.star == [triangle, triangle, rows(*range(10)), rows(0, 3, 4, 8)]
+    assert index.apexes() == [2, 0, 1, 3]
+    assert FaceIndex([0]).faces == [0]
+    assert FaceIndex([0]).sized == [1]
+    assert FaceIndex([0]).columns == [0]
+    assert FaceIndex([0]).star == []
+    assert FaceIndex([]).faces == FaceIndex([]).sized == FaceIndex([]).star == []
+
+
+def closed_stars_by_definition(index, faces):
+    """star[v] of a face family by definition: the rows of the faces F with
+    F + {v} in the family."""
+    return [
+        sum(1 << r for r, f in enumerate(index.faces) if f | 1 << v in faces)
+        for v in range(index.n)
+    ]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -144,51 +162,43 @@ def test_face_index_of_a_triangle_and_an_edge():
 @example((3, [0]))  # the irrelevant complex {∅}
 def test_face_index_star_is_the_closed_star(family):
     """The closed stars of the whole family, and for each size t those of
-    ``skeleton(t)``, the faces lying in a face of size t."""
+    the index of the pure skeleton, the faces lying in a face of size t."""
     n, facets = family
     faces = SimplicialComplex.from_faces(n, facets).faces()
     index = FaceIndex(faces)
-    assert len(index.star) == len(index.faces)
-    for g, sized in enumerate(index.faces):
-        assert len(index.star[g]) == index.n
-        for v in range(index.n):
-            assert index.star[g][v] == sum(
-                1 << r for r, f in enumerate(sized) if f | 1 << v in faces
-            ), (facets, g, v)
-    for t in range(1, len(index.faces)):
+    assert index.star == closed_stars_by_definition(index, faces), facets
+    assert index.holding == [
+        sum(1 << r for r, f in enumerate(index.faces) if f >> v & 1) for v in range(index.n)
+    ], facets
+    assert sorted(index.faces) == sorted(faces)
+    for g, mask in enumerate(index.sized):
+        assert mask == sum(1 << r for r, f in enumerate(index.faces) if f.bit_count() == g)
+    for t in range(1, len(index.sized)):
         tops = [f for f in faces if f.bit_count() == t]
         skeleton = {f for f in faces if any(f & top == f for top in tops)}
-        rows, star = index.skeleton(t)
-        assert len(rows) == len(star) == t + 1
-        for g in range(t + 1):
-            sized = index.faces[g]
-            assert rows[g] == sum(1 << r for r, f in enumerate(sized) if f in skeleton)
-            for v in range(index.n):
-                assert star[g][v] == sum(
-                    1 << r for r, f in enumerate(sized) if f | 1 << v in skeleton
-                ), (facets, t, g, v)
+        part = FaceIndex(skeleton)
+        assert len(part.sized) == t + 1
+        assert part.star == closed_stars_by_definition(part, skeleton), (facets, t)
 
 
 @st.composite
 def restricted_boundaries(draw):
-    """A face index of a random complex, a face size g >= 1, and masks of
-    the rows of size g and of the rows of size g - 1."""
+    """A face index of a random complex and two masks of its rows, of any
+    sizes."""
     n = draw(st.integers(1, 8))
     facets = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=6))
     index = FaceIndex(SimplicialComplex.from_faces(n, facets).faces())
-    g = draw(st.integers(1, len(index.faces) - 1))
-    rows = draw(st.integers(0, (1 << len(index.faces[g])) - 1))
-    below = draw(st.integers(0, (1 << len(index.faces[g - 1])) - 1))
-    return index, g, rows, below
+    every = (1 << len(index.faces)) - 1
+    return index, draw(st.integers(0, every)), draw(st.integers(0, every))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(restricted_boundaries())
 def test_face_index_pivots_rank_the_restricted_boundary(case):
-    index, g, rows, below = case
-    # the dense signed matrix, rows of size g - 1 in below by columns in rows
-    kept = [f for r, f in enumerate(index.faces[g]) if rows >> r & 1]
-    kept_below = [f for t, f in enumerate(index.faces[g - 1]) if below >> t & 1]
+    index, kept_rows, below = case
+    # the dense signed matrix, rows in below by columns in kept_rows
+    kept = [f for r, f in enumerate(index.faces) if kept_rows >> r & 1]
+    kept_below = [f for t, f in enumerate(index.faces) if below >> t & 1]
     row_of = {f: i for i, f in enumerate(kept_below)}
     matrix = [[0] * len(kept) for _ in row_of]
     for c, face in enumerate(kept):
@@ -197,8 +207,10 @@ def test_face_index_pivots_rank_the_restricted_boundary(case):
             if i is not None:
                 matrix[i][c] = (-1) ** pos
     for field in (GF2, FieldSpec(3), QQ):
-        assert len(index.pivots(g, rows, below, field)) == reference_rank(matrix, field.p), (
-            index.faces, g, rows, below, field.label)
+        pivots = index.pivots(kept_rows, below, field)
+        assert pivots & below == pivots, (index.faces, kept_rows, below, field.label)
+        assert pivots.bit_count() == reference_rank(matrix, field.p), (
+            index.faces, kept_rows, below, field.label)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

@@ -33,6 +33,7 @@ from oracles import (
     apex_order,
     boundary_ranks,
     closed_star,
+    columns_sent,
     homology_dims,
     minors,
     stanley_reisner_complex,
@@ -567,8 +568,8 @@ SEQ_CM_EXAMPLES = [
 def test_seq_cm_ranks_each_link_relative_to_an_apex_star_with_clearing(monkeypatch):
     """The reducers receive, for each face sigma of each skeleton at a facet
     size, the faces of its link outside the closed star of its apex but the
-    pivot rows of the relative boundary one size up; no other skeleton is
-    built."""
+    pivot rows of the relative boundary one size up, and none of a size with
+    no such face one size down; no other skeleton is ranked."""
     clearing_skipped = 0
     for cx in SEQ_CM_EXAMPLES:
         faces = cx.faces()
@@ -582,58 +583,55 @@ def test_seq_cm_ranks_each_link_relative_to_an_apex_star_with_clearing(monkeypat
                     if sigma.bit_count() > t - 2:
                         continue
                     link = {f & ~sigma for f in skeleton if f & sigma == sigma}
-                    counts, ranks = boundary_ranks(link, field)
-                    cleared_only += sum(counts[1:]) - sum(ranks[2:])
+                    cleared_only += columns_sent(*boundary_ranks(link, field))
                     apex = next(v for v in order if 1 << v in link)
                     counts, ranks = boundary_ranks(link, field, drop=closed_star(link, apex))
-                    expected += sum(counts[1:]) - sum(ranks[2:])
+                    expected += columns_sent(counts, ranks)
                     clearing_skipped += sum(ranks[2:])
-            received, built = [], []
+            received = []
             original = getattr(pathideal.fields, name)
-            skeleton_of = FaceIndex.skeleton
 
             def counting(columns, *args, **kwargs):
                 columns = list(columns)
                 received.append(len(columns))
                 return original(columns, *args, **kwargs)
 
-            def recording(index, t):
-                built.append(t)
-                return skeleton_of(index, t)
-
             with monkeypatch.context() as patch:
                 patch.setattr(pathideal.fields, name, counting)
-                patch.setattr(FaceIndex, "skeleton", recording)
                 assert is_sequentially_cm(cx, field), (str(cx), field.label)
-            assert built == sizes, str(cx)
             assert sum(received) == expected, (str(cx), field.label)
             assert sum(received) < cleared_only, (str(cx), field.label)
     assert clearing_skipped > 0
 
 
-def test_seq_cm_builds_one_face_index_per_complex(monkeypatch):
+def test_seq_cm_builds_one_face_index_per_complex_and_nonpure_skeleton(monkeypatch):
+    """One index of the complex, and one of the pure skeleton at each facet
+    size t >= 2 of a nonpure complex, in increasing t; a pure complex is its
+    own top skeleton, and no index is built at any other size."""
     built = []
 
     class CountingIndex(FaceIndex):
         def __init__(self, faces):
+            faces = set(faces)
             built.append(faces)
             super().__init__(faces)
 
-    # all sequentially CM, so that every skeleton is checked
-    cxs = [cover_complex(C312), cover_complex(PATH_L4),
-           SimplicialComplex.from_faces(4, [0b0111, 0b1000]),
-           SimplicialComplex.from_faces(5, [0b00111, 0b01100, 0b11000])]
-    fields = (GF2, FieldSpec(3), QQ)
-    expected = [[is_sequentially_cm(cx, field) for field in fields] for cx in cxs]
-    assert all(all(row) for row in expected) and max(cx.dim for cx in cxs) >= 2
     monkeypatch.setattr(topology, "FaceIndex", CountingIndex)
-    calls = 0
-    for cx, row in zip(cxs, expected):
-        for field, verdict in zip(fields, row):
-            assert is_sequentially_cm(cx, field) == verdict
-            calls += 1
-            assert len(built) == calls, (str(cx), field.label)
-    assert calls == 12
+    nonpure = 0
+    for cx in SEQ_CM_EXAMPLES:
+        faces = cx.faces()
+        sizes = sorted({f.bit_count() for f in cx.facets})
+        expected = [faces]
+        if len(sizes) > 1:
+            nonpure += 1
+            expected += [pure_skeleton(faces, t) for t in sizes if t >= 2]
+        for field in (GF2, FieldSpec(3), QQ):
+            built.clear()
+            assert is_sequentially_cm(cx, field), (str(cx), field.label)
+            assert built == expected, (str(cx), field.label)
+    # among them a nonpure complex whose facet sizes miss a size in between
+    assert nonpure >= 2 and any(
+        {f.bit_count() for f in cx.facets} == {4, 2} for cx in SEQ_CM_EXAMPLES)
 
 
 def test_seq_cm_cap():
