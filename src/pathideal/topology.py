@@ -24,14 +24,14 @@ run.  The number of distinct minors still grows exponentially (on the
 length-2 path: 23, 115, 559, 2,690 and 12,909 for n = 6, 9, 12, 15, 18),
 so ``MINOR_CAP_N`` stays.
 
-Sequential Cohen-Macaulayness builds one ``complexes.FaceIndex`` of the
-complex, for the order of its apex vertices, and checks its pure skeletons
-at the facet sizes only, each through its own ``FaceIndex`` with its own
-vertex stars (a pure complex is its own top skeleton and reuses the
-complex's index).  Each link is read off by restriction to the faces
-containing it and ranked relative to the closed star of an apex vertex,
-from the top size down with clearing (``FaceIndex.homology``), as the
-Hochster route ranks each induced subcomplex.
+Sequential Cohen-Macaulayness checks the pure skeletons of the complex at
+its facet sizes only, each through its own ``complexes.FaceIndex``, which
+orders that skeleton's apex vertices and holds their stars (a pure
+complex is its own top skeleton, so its one index is the complex's).
+Each link is read off by restriction to the faces containing it and
+ranked relative to the closed star of an apex vertex, from the top size
+down with clearing (``FaceIndex.homology``), as the Hochster route ranks
+each induced subcomplex.
 """
 
 from __future__ import annotations
@@ -464,9 +464,7 @@ def is_interval_clutter(clutter: Clutter) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _links_acyclic_below_top(
-    skeleton: FaceIndex, t: int, apexes: list[int], field: FieldSpec
-) -> bool:
+def _links_acyclic_below_top(skeleton: FaceIndex, t: int, field: FieldSpec) -> bool:
     """Reisner-style check on the pure skeleton generated by the faces of
     size t, whose face index is ``skeleton``: every link of every face (the
     empty face included) has zero reduced homology below its dimension.
@@ -494,10 +492,10 @@ def _links_acyclic_below_top(
     as D' * D' = 1 between two of them.
 
     Relative to an apex star, with clearing.  The apex of the link is the
-    first vertex u of ``apexes`` with sigma + u in the skeleton, so a vertex
-    of the link.  A link face tau is in the closed star of u in the link iff
-    tau + u is in the link, iff rho + u is in the skeleton, iff rho is in
-    the skeleton's closed star of u.  So dropping the rows of that star
+    first vertex u of the skeleton's ``FaceIndex.apexes`` with sigma + u in
+    the skeleton, so a vertex of the link.  A link face tau is in the
+    closed star of u in the link iff tau + u is in the link, iff rho + u is
+    in the skeleton, iff rho is in the skeleton's closed star of u.  So dropping the rows of that star
     leaves the cells of the link relative to the star of u, and
     ``FaceIndex.homology`` gives their homology, the reduced homology of
     the link, over every field, ranked from the top size down with clearing
@@ -510,6 +508,7 @@ def _links_acyclic_below_top(
     lies in a face of size t, so its link has a vertex and the apex exists.
     """
     every = (1 << len(skeleton.faces)) - 1
+    apexes = skeleton.apexes()
     # the faces of size below t - 1: the rows below the first of size t - 1
     first = skeleton.sized[t - 1]
     walk = (first & -first) - 1
@@ -528,20 +527,6 @@ def _links_acyclic_below_top(
         if any(skeleton.homology(cells, field)[:t]):
             return False
     return True
-
-
-def _pure_skeleton(cx: SimplicialComplex, t: int) -> set[int]:
-    """The faces of the pure skeleton Delta^[t], those lying in a face of
-    size t: the faces of size at most t of the facets of size at least t."""
-    faces = {0}
-    for facet in cx.facets:
-        if facet.bit_count() >= t:
-            f = facet
-            while f:
-                if f.bit_count() <= t:
-                    faces.add(f)
-                f = (f - 1) & facet
-    return faces
 
 
 def is_sequentially_cm(
@@ -572,25 +557,25 @@ def is_sequentially_cm(
     when that of size t + 1 does.  By downward induction from the top size,
     itself a facet size, every size passes when the facet sizes do.
 
-    Each link is ranked relative to the closed star of an apex vertex, with
-    clearing (proved in ``_links_acyclic_below_top``).  The apexes are
-    tried in the order of the Hochster route, largest closed star in Delta
-    first (``FaceIndex.apexes`` of the complex's index).  Each checked
-    skeleton gets its own ``FaceIndex``, built from its faces, which serves
-    every link in it; a pure complex has one facet size, and its skeleton
-    there is the complex, so its own index serves.
+    Each checked skeleton gets its own ``FaceIndex``, built from its faces
+    (those of size at most t of the facets of size at least t), which
+    serves every link in it; for a pure complex that is the complex's own
+    index, and no other index is built.  Each link is ranked relative to
+    the closed star of an apex vertex, with clearing (proved in
+    ``_links_acyclic_below_top``); the apexes are tried in the order of the
+    Hochster route, largest closed star in the skeleton first
+    (``FaceIndex.apexes`` of the skeleton's index).
     """
     if cx.is_void:
         raise ValueError("void complex")
     if cx.vertices.bit_count() > cap:
         raise CapExceeded(f"{cx.vertices.bit_count()} vertices exceed cap {cap}")
-    index = FaceIndex(cx.faces())
-    apexes = index.apexes()
-    sizes = sorted({f.bit_count() for f in cx.facets})
-    for t in sizes:
+    for t in sorted({f.bit_count() for f in cx.facets}):
         if t >= 2:
-            # a pure complex is its own top skeleton
-            skeleton = index if len(sizes) == 1 else FaceIndex(_pure_skeleton(cx, t))
-            if not _links_acyclic_below_top(skeleton, t, apexes, field):
+            # the facets of size at least t, a subsequence of a canonical
+            # antichain and so one itself
+            wide = SimplicialComplex(cx.n, tuple(f for f in cx.facets if f.bit_count() >= t))
+            skeleton = FaceIndex(f for f in wide.faces() if f.bit_count() <= t)
+            if not _links_acyclic_below_top(skeleton, t, field):
                 return False
     return True

@@ -562,6 +562,9 @@ SEQ_CM_EXAMPLES = [
     SimplicialComplex.from_faces(5, [0b00111, 0b01100, 0b11000]),
     SimplicialComplex.from_faces(5, [0b01111, 0b11000]),
     SimplicialComplex.from_faces(6, [0b000111, 0b001110, 0b011100, 0b110000, 0b100001]),
+    # a triangle {0,1,2} and edges {2,3}, {3,4}, ..., {3,7}: vertex 3 has the
+    # largest closed star of the complex but is not in the top skeleton
+    SimplicialComplex.from_faces(8, [0b111, 0b1100, 0b11000, 0b101000, 0b1001000, 0b10001000]),
 ]
 
 
@@ -573,12 +576,12 @@ def test_seq_cm_ranks_each_link_relative_to_an_apex_star_with_clearing(monkeypat
     clearing_skipped = 0
     for cx in SEQ_CM_EXAMPLES:
         faces = cx.faces()
-        order = apex_order(faces)
         sizes = sorted({f.bit_count() for f in cx.facets if f.bit_count() >= 2})
         for field, name in ((GF2, "pivots_gf2"), (FieldSpec(3), "pivots_gfp"), (QQ, "pivots_qq")):
             expected = cleared_only = 0
             for t in sizes:
                 skeleton = pure_skeleton(faces, t)
+                order = apex_order(skeleton)
                 for sigma in skeleton:
                     if sigma.bit_count() > t - 2:
                         continue
@@ -604,10 +607,11 @@ def test_seq_cm_ranks_each_link_relative_to_an_apex_star_with_clearing(monkeypat
     assert clearing_skipped > 0
 
 
-def test_seq_cm_builds_one_face_index_per_complex_and_nonpure_skeleton(monkeypatch):
-    """One index of the complex, and one of the pure skeleton at each facet
-    size t >= 2 of a nonpure complex, in increasing t; a pure complex is its
-    own top skeleton, and no index is built at any other size."""
+def test_seq_cm_builds_one_face_index_per_checked_skeleton(monkeypatch):
+    """One index of the pure skeleton at each facet size t >= 2, in
+    increasing t, built from exactly its faces, and none at any other size:
+    a pure complex gets one index, of its own faces, and a complex of
+    points none."""
     built = []
 
     class CountingIndex(FaceIndex):
@@ -617,21 +621,28 @@ def test_seq_cm_builds_one_face_index_per_complex_and_nonpure_skeleton(monkeypat
             super().__init__(faces)
 
     monkeypatch.setattr(topology, "FaceIndex", CountingIndex)
+    points = SimplicialComplex.from_faces(3, [0b001, 0b010, 0b100])
     nonpure = 0
-    for cx in SEQ_CM_EXAMPLES:
+    for cx in SEQ_CM_EXAMPLES + [points]:
         faces = cx.faces()
         sizes = sorted({f.bit_count() for f in cx.facets})
-        expected = [faces]
+        expected = [pure_skeleton(faces, t) for t in sizes if t >= 2]
         if len(sizes) > 1:
             nonpure += 1
-            expected += [pure_skeleton(faces, t) for t in sizes if t >= 2]
+        else:
+            # a pure complex is its own top skeleton
+            assert expected == ([faces] if sizes[0] >= 2 else [])
         for field in (GF2, FieldSpec(3), QQ):
             built.clear()
             assert is_sequentially_cm(cx, field), (str(cx), field.label)
             assert built == expected, (str(cx), field.label)
-    # among them a nonpure complex whose facet sizes miss a size in between
+    # among them a nonpure complex whose facet sizes miss a size in between,
+    # and one whose largest closed star is at a vertex outside its top skeleton
     assert nonpure >= 2 and any(
         {f.bit_count() for f in cx.facets} == {4, 2} for cx in SEQ_CM_EXAMPLES)
+    assert any(
+        apex_order(cx.faces())[0] >= max(pure_skeleton(cx.faces(), cx.dim + 1)).bit_length()
+        for cx in SEQ_CM_EXAMPLES)
 
 
 def test_seq_cm_cap():
