@@ -44,7 +44,7 @@ from typing import Iterable, Mapping, Optional
 from .caps import SUBSET_CAP_N, TAYLOR_CAP_K, CapExceeded
 from .complexes import FaceIndex
 from .fields import GF2, FieldSpec, rank_sparse
-from .monomials import MonomialIdeal
+from .monomials import MonomialIdeal, iter_bits
 
 
 class BettiTable:
@@ -179,6 +179,34 @@ def _check_degree_row(ideal: MonomialIdeal, table: BettiTable) -> None:
         )
 
 
+def _off_stars(index: FaceIndex, n: int, gen_masks: Iterable[int]) -> list[int]:
+    """The rows of ``index``, the face index of the associated complex of
+    an ideal on n variables, outside the closed star of each vertex v < n,
+    from the generators: off_star[v] is the OR over the generators g
+    through v of the AND of ``index.holding[u]`` over the u in g - {v}
+    (every row when g = {v}).
+
+    Proof.  A face F is outside the closed star of v iff F + {v} is not a
+    face, iff F + {v} holds a generator g.  Such a g holds v, as F holds
+    none, and F holds g - {v}.  Conversely if F holds g - {v} for a g
+    through v, F + {v} holds g.  The faces that hold g - {v} are the AND of
+    the holding masks of its vertices.  So the masks cost |g| - 1 ANDs per
+    vertex of each generator, where building the stars from the faces
+    costs a row lookup per face and vertex.
+    """
+    every = (1 << len(index.faces)) - 1
+    # a variable in no face holds no row
+    holding = index.holding + [0] * (n - index.n)
+    off_star = [0] * n
+    for g in gen_masks:
+        for v in iter_bits(g):
+            rows = every
+            for u in iter_bits(g ^ 1 << v - 1):
+                rows &= holding[u - 1]
+            off_star[v - 1] |= rows
+    return off_star
+
+
 def betti_hochster(
     ideal: MonomialIdeal,
     field: FieldSpec = GF2,
@@ -196,8 +224,10 @@ def betti_hochster(
 
     The faces of Delta are enumerated once, and their ``FaceIndex`` gives
     each face a row, in one numbering of all faces, and its boundary column
-    in those rows, a row mask from which the signs follow; ``FaceIndex.pivots``
-    restricts the columns and reduces them over the field.  For a
+    in those rows, a row mask from which the signs follow, built the first
+    time ``FaceIndex.pivots`` walks the row; the columns of the rows no W
+    walks are never built.  ``FaceIndex.pivots`` restricts the columns and
+    reduces them over the field.  For a
     subset W the columns of the faces inside W are exactly the boundary
     matrices of Delta_W: every term of the boundary of a face inside W is a
     face inside W, so the rows of the faces outside W are zero in the kept
@@ -213,11 +243,15 @@ def betti_hochster(
 
     Relative to a vertex star.  The vertices of Delta (the v with {v} a
     face) are ordered once per ideal by ``FaceIndex.apexes``, largest
-    closed star in Delta first; the apex of W is the first of them in W.
-    The faces of Delta_W in the apex's closed star (the index's ``star``)
-    are dropped: a face inside W is in the closed star of
-    the apex in Delta_W iff it is in the closed star in Delta, as W holds
-    the apex.  What is left are the cells of Delta_W relative to that star,
+    closed star in Delta first, an order it reads off the ``holding``
+    counts; the apex of W is the first of them in W.  The faces of Delta_W
+    in the apex's closed star are dropped: a face inside W is in the closed
+    star of the apex in Delta_W iff it is in the closed star in Delta, as W
+    holds the apex.  The rows outside each closed star come from the
+    generators (``_off_stars``): F + {v} is not a face iff F holds g - {v}
+    for a generator g through v, so one AND of holding masks per vertex of
+    g - {v} and one OR per such g give them, and the index builds no star.
+    What is left are the cells of Delta_W relative to that star,
     a cone, and ``FaceIndex.homology`` ranks them from the top size down
     with clearing; its docstring proves that this gives the reduced
     homology of Delta_W over every field.  The star holds most of the
@@ -235,11 +269,10 @@ def betti_hochster(
         raise CapExceeded(f"n={n} exceeds cap {cap}")
     gen_masks = ideal.gen_masks()
     index = FaceIndex(_face_masks(n, gen_masks))
-    # keep[v]: the rows whose face misses vertex v; off_star[v]: the rows
-    # outside the closed star of v
     every = (1 << len(index.faces)) - 1
+    # keep[v]: the rows whose face misses vertex v
     keep = [every ^ held for held in index.holding]
-    off_star = [every ^ star for star in index.star]
+    off_star = _off_stars(index, n, gen_masks)
     if prune_cones:
         candidates = _union_closure(gen_masks)
     else:

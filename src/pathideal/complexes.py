@@ -8,17 +8,18 @@ homology in degree -1 and nonempty complexes have none there.
 
 ``FaceIndex`` is the one builder of simplicial boundary columns, the same
 for every field: it numbers all faces in one sequence of rows, by size and
-then by mask, and gives each face its boundary column as a mask of rows,
-from which the signs follow, as the rows follow the masks.  In the same
-pass it marks for each
-vertex, with one mask, the rows whose face contains it and the rows of its
-closed star.  Its ``pivots`` restricts columns and reduces them over a
-field, and its ``homology`` splits a mask of cells by size and reduces
-their boundaries from the top size down with clearing.  The Hochster route
-of ``betti`` ranks each induced subcomplex relative to the closed star of
-one of its vertices, and the sequential Cohen-Macaulay test of ``topology``
-ranks each link of a pure skeleton, in that skeleton's own index, relative
-to the closed star of one of its vertices; both call ``homology``, as
+then by mask, and marks for each vertex, with one mask, the rows whose face
+contains it.  A face's boundary column, a mask of rows from which the signs
+follow, as the rows follow the masks, is built the first time a reduction
+walks its row, and a vertex's closed star the first time it is asked for.
+Its ``pivots`` restricts columns and reduces them over a field, and its
+``homology`` splits a mask of cells by size and reduces their boundaries
+from the top size down with clearing.  The Hochster route of ``betti``
+ranks each induced subcomplex relative to the closed star of one of its
+vertices, whose complement it builds from the generators and not from the
+index, and the sequential Cohen-Macaulay test of ``topology`` ranks each
+link of a pure skeleton, in that skeleton's own index, relative to the
+closed star of one of its vertices; both call ``homology``, as
 ``reduced_homology_dims`` does on the whole complex.  The strand route of
 ``betti`` builds its own columns and ranks every one of them, so the two
 exponential Betti routes share no inner loop.
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Iterable
+from typing import Iterable, Optional
 
 from .caps import SUBSET_CAP_N, CapExceeded
 from .fields import FieldSpec, reducer
@@ -104,38 +105,48 @@ class SimplicialComplex:
         return f"n={self.n}; {body}"
 
 
+# _BIT_CHARS[b]: translates each byte to the digit "0" or "1" of its bit b,
+# which is 1 on the second half of each run of 2^(b + 1) byte values
+_BIT_CHARS = [(b"0" * (1 << b) + b"1" * (1 << b)) * (128 >> b) for b in range(8)]
+
+
 class FaceIndex:
-    """The faces of a downward-closed family in one row numbering, with their
-    boundary columns and per-vertex row masks; nothing in it depends on a
-    field.
+    """The faces of a downward-closed family in one row numbering, with
+    per-vertex row masks, and their boundary columns and closed stars built
+    on first use; nothing in it depends on a field.
 
     ``faces`` lists the faces by size, and within a size in increasing mask
-    order; a face's row is its position there, and ``sized[g]`` marks the
-    rows of size g.  ``columns[r]`` is the boundary of the face f in row r,
-    the sum of (-1)^pos (f minus its pos-th vertex), as the mask of the rows
-    of those faces (the empty face has the zero column).  ``holding[v]``
+    order; a face's row is its position there, ``row`` maps each face to
+    its row, and ``sized[g]`` marks the rows of size g.  ``holding[v]``
     marks the rows whose face contains vertex v, for v < n, the largest
-    vertex of a face plus one, and ``star[v]`` the rows in the closed star
-    of v, the faces F with F + {v} a face.  It is empty unless {v} is a face.
+    vertex of a face plus one.  These four are built with the index; the
+    rest is built when first asked for, and kept.
 
-    The signs need no mask of their own: the pos of a term is the number of
-    terms of the column in higher rows.  Proof: for vertices u < w of f, the
-    masks f - u and f - w differ only at u and w, and f - u holds w, so
-    f - u is the larger; within a size the rows follow the masks, so the
-    term of pos 0 has the highest row, and pos grows as the rows fall.
+    ``column(r)`` is the boundary of the face f in row r, the sum of
+    (-1)^pos (f minus its pos-th vertex), as the mask of the rows of those
+    faces (the empty face has the zero column).  ``pivots`` builds the
+    columns of the rows it walks, and only those.  The signs need no mask
+    of their own: the pos of a term is the number of terms of the column in
+    higher rows.  Proof: for vertices u < w of f, the masks f - u and f - w
+    differ only at u and w, and f - u holds w, so f - u is the larger;
+    within a size the rows follow the masks, so the term of pos 0 has the
+    highest row, and pos grows as the rows fall.
 
-    The closed stars come out of the pass that builds the columns: they are
-    the faces that contain v and the terms f - v of the faces f that contain
-    v.  Proof: a face that contains v is its own F + {v}, and f - v has
-    (f - v) + {v} = f a face.  Conversely a face F without v, with F + {v} a
-    face f, is the term f - v of f.
+    ``star(v)`` marks the rows of the closed star of v, the faces F with
+    F + {v} a face; it is empty unless {v} is a face.  It is the faces that
+    contain v and the faces f - v of the faces f that contain v.  Proof: a
+    face that contains v is its own F + {v}, and f - v has (f - v) + {v} = f
+    a face.  Conversely a face F without v, with F + {v} a face f, is f - v.
+    So f -> f - v matches the faces that contain v with the other faces of
+    the star, and |star(v)| = 2 |holding[v]|, which is how ``apexes``
+    orders the vertices without building a star.
     """
 
     def __init__(self, faces: Iterable[int]):
         # sorted is stable: by size, and within a size by mask
         self.faces: list[int] = sorted(sorted(faces), key=int.bit_count)
         self.n = max(self.faces, default=0).bit_length()
-        row = {f: r for r, f in enumerate(self.faces)}
+        self.row = {f: r for r, f in enumerate(self.faces)}
         # a downward-closed family has faces of every size up to its top
         self.sized: list[int] = []
         start = 0
@@ -143,31 +154,62 @@ class FaceIndex:
             end = start + sum(1 for _ in group)
             self.sized.append((1 << end) - (1 << start))
             start = end
-        self.columns: list[int] = []
-        holding = [0] * self.n
-        # lacking[v]: the rows of the terms f - v, the faces F without v
-        # with F + {v} a face
-        lacking = [0] * self.n
-        for r, f in enumerate(self.faces):
-            bit = 1 << r
-            column = 0
-            rest = f
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                term = 1 << row[f ^ low]
-                column |= term
-                v = low.bit_length() - 1
-                holding[v] |= bit
-                lacking[v] |= term
-            self.columns.append(column)
-        self.holding = holding
-        self.star = [held | term for held, term in zip(holding, lacking)]
+        # holding[v] transposes the faces: bit r of it is bit v of the face
+        # in row r.  Each face goes into ``width`` bytes, the last face
+        # first; byte v // 8 of every face is one slice of them, and
+        # translating its bytes to the digits of bit v % 8 spells holding[v]
+        # in binary, highest row first.
+        width = (self.n + 7) // 8
+        packed = b"".join([f.to_bytes(width, "little") for f in reversed(self.faces)])
+        self.holding: list[int] = [
+            int(packed[v >> 3 :: width].translate(_BIT_CHARS[v & 7]), 2) for v in range(self.n)
+        ]
+        self._columns: list[Optional[int]] = [None] * len(self.faces)
+        self._stars: list[Optional[int]] = [None] * self.n
+
+    def _column(self, r: int) -> int:
+        """Builds the boundary column of row r."""
+        f, row = self.faces[r], self.row
+        column = 0
+        rest = f
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            column |= 1 << row[f ^ low]
+        return column
+
+    def column(self, r: int) -> int:
+        """The boundary column of the face in row r (see the class
+        docstring), built on the first call."""
+        column = self._columns[r]
+        if column is None:
+            column = self._columns[r] = self._column(r)
+        return column
+
+    def _star(self, v: int) -> int:
+        """Builds the closed star of vertex v."""
+        faces, row = self.faces, self.row
+        bit = 1 << v
+        star = held = self.holding[v]
+        while held:
+            low = held & -held
+            held ^= low
+            star |= 1 << row[faces[low.bit_length() - 1] ^ bit]
+        return star
+
+    def star(self, v: int) -> int:
+        """The rows of the closed star of vertex v < n (see the class
+        docstring), built on the first call."""
+        star = self._stars[v]
+        if star is None:
+            star = self._stars[v] = self._star(v)
+        return star
 
     def pivots(self, rows: int, below: int, field: FieldSpec) -> int:
         """The mask of the pivot rows of ``fields.reducer(field)`` on the
         columns of the rows set in ``rows``, each restricted to the rows set
-        in ``below``; their number is the rank.  A column goes in as its mask
+        in ``below``; their number is the rank.  A column not built yet is
+        built here (``column``) and kept.  A column goes in as its mask
         over GF(2), otherwise as a dict row -> (-1)^pos (p - 1 for -1 over
         GF(p)), pos counted on the whole column (see the class docstring).
         Rows and columns are counted from the first of each set, so that the
@@ -177,7 +219,7 @@ class FaceIndex:
         """
         if not rows or not below:
             return 0
-        columns, p = self.columns, field.p
+        p = field.p
         minus = p - 1 if p else -1
         first = (rows & -rows).bit_length() - 1
         base = (below & -below).bit_length() - 1
@@ -188,7 +230,7 @@ class FaceIndex:
             low = rows & -rows
             rows ^= low
             r = first + low.bit_length() - 1
-            column = columns[r] >> base
+            column = self.column(r) >> base
             kept = column & below
             if p != 2:
                 # iter_bits counts from 1: the terms above row t - 1 are the
@@ -265,10 +307,12 @@ class FaceIndex:
         """The vertices of the family (the v with {v} a face) by the size of
         their closed star, largest first, ties to the lower vertex.  The
         callers rank a subcomplex relative to the closed star of the first
-        of them that it holds, its apex."""
-        star = self.star
+        of them that it holds, its apex.  A closed star has twice as many
+        faces as ``holding`` marks (see the class docstring), so the order
+        is read off ``holding`` and builds no star."""
+        holding = self.holding
         # sorted is stable, so ties keep the lower vertex first
-        return sorted((v for v in range(self.n) if star[v]), key=lambda v: -star[v].bit_count())
+        return sorted((v for v in range(self.n) if holding[v]), key=lambda v: -holding[v].bit_count())
 
 
 def reduced_homology_dims(

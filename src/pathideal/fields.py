@@ -69,7 +69,12 @@ def parse_field(text: str) -> FieldSpec:
     if s in ("rat", "q", "qq", "rationals"):
         return QQ
     if s.startswith("gf"):
-        return FieldSpec(int(s[2:].strip("()")))
+        try:
+            p = int(s[2:].strip("()"))
+        except ValueError:
+            pass
+        else:
+            return FieldSpec(p)
     raise ValueError(f"cannot parse field {text!r} (expected gf2, gf<p> or rat)")
 
 

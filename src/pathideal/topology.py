@@ -26,8 +26,9 @@ so ``MINOR_CAP_N`` stays.
 
 Sequential Cohen-Macaulayness checks the pure skeletons of the complex at
 its facet sizes only, each through its own ``complexes.FaceIndex``, which
-orders that skeleton's apex vertices and holds their stars (a pure
-complex is its own top skeleton, so its one index is the complex's).
+orders that skeleton's apex vertices and builds the closed stars of the
+apexes its links pick, and no other (a pure complex is its own top
+skeleton, so its one index is the complex's).
 Each link is read off by restriction to the faces containing it and
 ranked relative to the closed star of an apex vertex, from the top size
 down with clearing (``FaceIndex.homology``), as the Hochster route ranks
@@ -492,9 +493,11 @@ def _links_acyclic_below_top(skeleton: FaceIndex, t: int, field: FieldSpec) -> b
     as D' * D' = 1 between two of them.
 
     Relative to an apex star, with clearing.  The apex of the link is the
-    first vertex u of the skeleton's ``FaceIndex.apexes`` with sigma + u in
-    the skeleton, so a vertex of the link.  A link face tau is in the
-    closed star of u in the link iff tau + u is in the link, iff rho + u is
+    first vertex u of the skeleton's ``FaceIndex.apexes`` outside sigma
+    with sigma + u in the skeleton (a lookup in the index's ``row``), so a
+    vertex of the link; the index builds the closed star of u the first
+    time a link picks it, and no star of a vertex passed over.  A link
+    face tau is in the closed star of u in the link iff tau + u is in the link, iff rho + u is
     in the skeleton, iff rho is in the skeleton's closed star of u.  So dropping the rows of that star
     leaves the cells of the link relative to the star of u, and
     ``FaceIndex.homology`` gives their homology, the reduced homology of
@@ -508,7 +511,7 @@ def _links_acyclic_below_top(skeleton: FaceIndex, t: int, field: FieldSpec) -> b
     lies in a face of size t, so its link has a vertex and the apex exists.
     """
     every = (1 << len(skeleton.faces)) - 1
-    apexes = skeleton.apexes()
+    apexes, row = skeleton.apexes(), skeleton.row
     # the faces of size below t - 1: the rows below the first of size t - 1
     first = skeleton.sized[t - 1]
     walk = (first & -first) - 1
@@ -516,11 +519,11 @@ def _links_acyclic_below_top(skeleton: FaceIndex, t: int, field: FieldSpec) -> b
         low = walk & -walk
         walk ^= low
         sigma = skeleton.faces[low.bit_length() - 1]
-        # sigma is in the closed star of u, and u not in sigma, iff sigma + u
-        # is in the skeleton
-        apex = next(u for u in apexes if skeleton.star[u] & low and not sigma >> u & 1)
+        # u is a vertex of the link iff u is not in sigma and sigma + u is in
+        # the skeleton
+        apex = next(u for u in apexes if not sigma >> u & 1 and sigma | 1 << u in row)
         # cells: the rows containing sigma, outside the apex's closed star
-        cells = every & ~skeleton.star[apex]
+        cells = every & ~skeleton.star(apex)
         for v in iter_bits(sigma):
             cells &= skeleton.holding[v - 1]
         # size t holds the link's top dimension, which may carry homology
@@ -564,7 +567,8 @@ def is_sequentially_cm(
     the closed star of an apex vertex, with clearing (proved in
     ``_links_acyclic_below_top``); the apexes are tried in the order of the
     Hochster route, largest closed star in the skeleton first
-    (``FaceIndex.apexes`` of the skeleton's index).
+    (``FaceIndex.apexes`` of the skeleton's index), and only the stars of
+    the apexes picked are built.
     """
     if cx.is_void:
         raise ValueError("void complex")

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import pathideal.betti
@@ -12,6 +12,7 @@ from pathideal.betti import (
     BettiTable,
     _face_masks,
     _intervals,
+    _off_stars,
     betti_hochster,
     betti_interval,
     betti_table,
@@ -210,6 +211,104 @@ def test_hochster_builds_one_face_index_per_ideal(monkeypatch):
                 calls += 1
                 assert len(built) == calls, (str(ideal), field.label, prune)
     assert calls == 12
+
+
+@st.composite
+def ideals_with_linear_generators(draw, n_max=8, max_gens=6):
+    """Minimalized ideals of random squarefree generators on 1..n, with up
+    to two variables among the generators, which then lie in no face of
+    the associated complex."""
+    n = draw(st.integers(1, n_max))
+    masks = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=max_gens))
+    variables = draw(st.lists(st.integers(0, n - 1), max_size=2))
+    return minimalize(n, [Monomial(m) for m in masks + [1 << v for v in variables]])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(ideals_with_linear_generators())
+@example(ideal_from_text("n=3; (x1, x2, x3)"))  # Delta = {∅}: no vertex at all
+@example(ideal_from_text("n=5; (x1, x2*x3, x3*x4, x5)"))  # the top variable in no face
+def test_off_stars_and_apexes_without_building_a_star(ideal):
+    """The off-star masks built from the generators are every row but the
+    closed star by its definition, for each of the n variables, and the
+    apexes are the vertices by closed-star size, ties to the lower vertex."""
+    faces = _face_masks(ideal.n, ideal.gen_masks())
+    index = FaceIndex(faces)
+    every = (1 << len(index.faces)) - 1
+    in_family = set(faces)
+    off_stars = [
+        every ^ sum(1 << r for r, f in enumerate(index.faces) if f | 1 << v in in_family)
+        for v in range(ideal.n)
+    ]
+    assert _off_stars(index, ideal.n, ideal.gen_masks()) == off_stars, str(ideal)
+    assert index.apexes() == apex_order(faces), str(ideal)
+    by_star = sorted(range(index.n), key=lambda v: (-index.star(v).bit_count(), v))
+    assert index.apexes() == [v for v in by_star if 1 << v in in_family], str(ideal)
+
+
+def random_full_support_ideals(seed, count=60, n=10):
+    """Seeded random ideals with at least n minimal generators of degree 2-4
+    and full support, the draw of pass 0 of the benchmark's random-ideals
+    workload (``perfbench/workloads.py``)."""
+    rng = random.Random(f"{seed}:0")
+    out = []
+    while len(out) < count:
+        k = rng.randint(n, 2 * n)
+        gens = [
+            Monomial.from_vars(rng.sample(range(1, n + 1), rng.randint(2, 4)))
+            for _ in range(k)
+        ]
+        ideal = minimalize(n, gens)
+        if len(ideal.gens) >= n and ideal.support == (1 << n) - 1:
+            out.append(ideal)
+    return out
+
+
+def test_hochster_builds_each_walked_column_once_and_no_star(monkeypatch):
+    """The index builds the column of a row once, the first time ``pivots``
+    walks it, and no other; ``betti_hochster`` builds no closed star, as
+    its off-star masks come from the generators."""
+    indexes = []
+
+    class CountingIndex(FaceIndex):
+        def __init__(self, faces):
+            self.built_columns, self.built_stars, self.walked = [], [], 0
+            super().__init__(faces)
+            indexes.append(self)
+
+        def _column(self, r):
+            self.built_columns.append(r)
+            return super()._column(r)
+
+        def _star(self, v):
+            self.built_stars.append(v)
+            return super()._star(v)
+
+        def pivots(self, rows, below, field):
+            if rows and below:
+                self.walked |= rows
+            return super().pivots(rows, below, field)
+
+    monkeypatch.setattr(pathideal.betti, "FaceIndex", CountingIndex)
+    jobs = [(ideal, GF2) for ideal in random_full_support_ideals(1)]
+    jobs += [
+        (ideal, field)
+        for field in (FieldSpec(3), QQ)
+        for ideal in crossval_ideals()
+        if ideal.n <= 10
+    ]
+    walked = every = 0
+    for ideal, field in jobs:
+        indexes.clear()
+        betti_hochster(ideal, field)
+        (index,) = indexes
+        rows = [r for r in range(len(index.faces)) if index.walked >> r & 1]
+        assert sorted(index.built_columns) == rows, (str(ideal), field.label)
+        assert index.built_stars == [], (str(ideal), field.label)
+        walked += len(rows)
+        every += len(index.faces)
+    # most rows are never walked, so most columns are never built
+    assert 0 < walked < every / 4
 
 
 def induced_faces(gen_masks, w):

@@ -270,6 +270,16 @@ def test_invalid_arguments_exit_two(capsys):
     assert info.value.code == 2
 
 
+def test_malformed_field_exits_two_with_the_expected_forms(capsys):
+    for text in ("gfx", "gf", "GF(x)", "zz"):
+        code, out, err = run(capsys, "betti", "--m", "2", "--n", "4", "--field", text)
+        assert code == 2 and out == "", text
+        assert err == f"error: cannot parse field {text!r} (expected gf2, gf<p> or rat)\n"
+    # a well-formed field that is not one keeps its own message
+    code, _, err = run(capsys, "betti", "--m", "2", "--n", "4", "--field", "gf4")
+    assert code == 2 and err == "error: p=4 must be a prime below 2^16\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["gen", "--m", "3", "--l", "1", "--k", "2", "--field", "rat"],
     ["formula", "--m", "3", "--l", "1", "--k", "2", "--method", "both"],

@@ -32,7 +32,7 @@ def signed_column(index, r):
     """Column r of the index as a dict row -> +-1 over the integers, with
     the sign rule of ``FaceIndex.pivots``: -1 to the number of terms in
     higher rows."""
-    column = index.columns[r]
+    column = index.column(r)
     return {
         t: (-1) ** (column >> t + 1).bit_count()
         for t in range(column.bit_length()) if column >> t & 1
@@ -125,31 +125,35 @@ def test_face_index_of_a_triangle_and_an_edge():
     index = FaceIndex(faces)
     assert index.faces == ordered
     assert index.n == 4
+    assert index.row == {f: r for r, f in enumerate(ordered)}
     assert index.sized == [rows(0), rows(1, 2, 3, 4), rows(5, 6, 7, 8), rows(9)]
     # the triangle's boundary {2,3} - {1,3} + {1,2}, in rows 7, 6 and 5
-    assert index.columns[9] == rows(5, 6, 7)
+    assert index.column(9) == rows(5, 6, 7)
     assert signed_column(index, 9) == {7: 1, 6: -1, 5: 1}
     # the edge {3,4}: {4} - {3}
     assert signed_column(index, 8) == {4: 1, 3: -1}
-    assert index.columns[0] == 0 and all(index.columns[r] == 1 for r in range(1, 5))
+    assert index.column(0) == 0 and all(index.column(r) == 1 for r in range(1, 5))
     assert index.holding == [
         rows(*(r for r, f in enumerate(ordered) if f >> v & 1)) for v in range(4)
     ] == [rows(1, 5, 6, 9), rows(2, 5, 7, 9), rows(3, 6, 7, 8, 9), rows(4, 8)]
     # the closed stars of vertices 1 and 2 are the triangle, that of 3 is
     # everything, that of 4 the edge {3,4}
     triangle = rows(0, 1, 2, 3, 5, 6, 7, 9)
-    assert index.star == [triangle, triangle, rows(*range(10)), rows(0, 3, 4, 8)]
+    stars = [index.star(v) for v in range(4)]
+    assert stars == [triangle, triangle, rows(*range(10)), rows(0, 3, 4, 8)]
     assert index.apexes() == [2, 0, 1, 3]
-    assert FaceIndex([0]).faces == [0]
-    assert FaceIndex([0]).sized == [1]
-    assert FaceIndex([0]).columns == [0]
-    assert FaceIndex([0]).star == []
-    assert FaceIndex([]).faces == FaceIndex([]).sized == FaceIndex([]).star == []
+    irrelevant = FaceIndex([0])
+    assert irrelevant.faces == [0] and irrelevant.row == {0: 0}
+    assert irrelevant.sized == [1]
+    assert irrelevant.column(0) == 0
+    assert irrelevant.n == 0 and irrelevant.holding == [] and irrelevant.apexes() == []
+    void = FaceIndex([])
+    assert void.faces == void.sized == void.holding == [] and void.n == 0
 
 
 def closed_stars_by_definition(index, faces):
-    """star[v] of a face family by definition: the rows of the faces F with
-    F + {v} in the family."""
+    """star(v) of a face family for each v < n, by definition: the rows of
+    the faces F with F + {v} in the family."""
     return [
         sum(1 << r for r, f in enumerate(index.faces) if f | 1 << v in faces)
         for v in range(index.n)
@@ -166,7 +170,7 @@ def test_face_index_star_is_the_closed_star(family):
     n, facets = family
     faces = SimplicialComplex.from_faces(n, facets).faces()
     index = FaceIndex(faces)
-    assert index.star == closed_stars_by_definition(index, faces), facets
+    assert [index.star(v) for v in range(index.n)] == closed_stars_by_definition(index, faces), facets
     assert index.holding == [
         sum(1 << r for r, f in enumerate(index.faces) if f >> v & 1) for v in range(index.n)
     ], facets
@@ -178,7 +182,8 @@ def test_face_index_star_is_the_closed_star(family):
         skeleton = {f for f in faces if any(f & top == f for top in tops)}
         part = FaceIndex(skeleton)
         assert len(part.sized) == t + 1
-        assert part.star == closed_stars_by_definition(part, skeleton), (facets, t)
+        stars = [part.star(v) for v in range(part.n)]
+        assert stars == closed_stars_by_definition(part, skeleton), (facets, t)
 
 
 @st.composite

@@ -565,6 +565,11 @@ SEQ_CM_EXAMPLES = [
     # a triangle {0,1,2} and edges {2,3}, {3,4}, ..., {3,7}: vertex 3 has the
     # largest closed star of the complex but is not in the top skeleton
     SimplicialComplex.from_faces(8, [0b111, 0b1100, 0b11000, 0b101000, 0b1001000, 0b10001000]),
+    # a pure 2-dimensional complex with the apex order 4, 6, 1, 2, ...: the
+    # link of vertex 0 passes over 4, 6 and 1 to its apex 2, and no link
+    # has the apex 1
+    SimplicialComplex.from_faces(8, [
+        0b1101, 0b11100, 0b110010, 0b1010100, 0b1100010, 0b1110000, 0b10010010, 0b11000010]),
 ]
 
 
@@ -643,6 +648,48 @@ def test_seq_cm_builds_one_face_index_per_checked_skeleton(monkeypatch):
     assert any(
         apex_order(cx.faces())[0] >= max(pure_skeleton(cx.faces(), cx.dim + 1)).bit_length()
         for cx in SEQ_CM_EXAMPLES)
+
+
+def test_seq_cm_builds_the_stars_of_the_apexes_it_picks_only(monkeypatch):
+    """Each checked skeleton's index builds the closed star of each apex
+    that some link picks, once, and no other star, not even of the vertices
+    outside sigma that a link tries before its apex; the apex of a link is
+    the first vertex of the skeleton's apex order that lies in it."""
+    indexes = []
+
+    class CountingIndex(FaceIndex):
+        def __init__(self, faces):
+            self.built_stars = []
+            super().__init__(faces)
+            indexes.append(self)
+
+        def _star(self, v):
+            self.built_stars.append(v)
+            return super()._star(v)
+
+    monkeypatch.setattr(topology, "FaceIndex", CountingIndex)
+    tried_only = 0
+    for cx in SEQ_CM_EXAMPLES:
+        faces = cx.faces()
+        expected = []
+        for t in sorted({f.bit_count() for f in cx.facets if f.bit_count() >= 2}):
+            skeleton = pure_skeleton(faces, t)
+            order = apex_order(skeleton)
+            picked, tried = set(), set()
+            for sigma in skeleton:
+                if sigma.bit_count() <= t - 2:
+                    link = {f & ~sigma for f in skeleton if f & sigma == sigma}
+                    apex = next(v for v in order if 1 << v in link)
+                    picked.add(apex)
+                    tried |= {v for v in order[:order.index(apex)] if not sigma >> v & 1}
+            expected.append(sorted(picked))
+            tried_only += len(tried - picked)
+        for field in (GF2, QQ):
+            indexes.clear()
+            assert is_sequentially_cm(cx, field), (str(cx), field.label)
+            assert [sorted(index.built_stars) for index in indexes] == expected, (str(cx), field.label)
+    # some vertex is tried and passed over, but never an apex
+    assert tried_only > 0
 
 
 def test_seq_cm_cap():
