@@ -21,7 +21,7 @@ strand route builds them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cache
 from math import gcd
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -166,15 +166,29 @@ def pivots_qq(columns: Iterable[Mapping[int, int]]) -> dict[int, dict[int, int]]
     return pivots
 
 
+@cache
+def _pivots_mod(p: int) -> Callable[[Iterable], dict]:
+    """:func:`pivots_gfp` with p bound, built once per prime.  It looks
+    ``pivots_gfp`` up when it runs, so that a replaced ``fields.pivots_gfp``
+    (the counting tests replace it) is the one called, as it is for the
+    other two reducers, which :func:`reducer` returns by name."""
+
+    def reduce(columns: Iterable[Mapping[int, int]]) -> dict[int, dict[int, int]]:
+        return pivots_gfp(columns, p)
+
+    return reduce
+
+
 def reducer(field: FieldSpec) -> Callable[[Iterable], dict]:
-    """The column reducer of the field: :func:`pivots_gf2`, which takes
-    bitmask columns, or :func:`pivots_gfp` (with p bound) or
-    :func:`pivots_qq`, which take dict columns row -> entry."""
+    """The column reducer of the field, one callable per field:
+    :func:`pivots_gf2`, which takes bitmask columns, or :func:`pivots_gfp`
+    (with p bound, built on the first call for p) or :func:`pivots_qq`,
+    which take dict columns row -> entry."""
     p = field.p
     if p == 2:
         return pivots_gf2
     if p:
-        return partial(pivots_gfp, p=p)
+        return _pivots_mod(p)
     return pivots_qq
 
 

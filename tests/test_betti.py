@@ -13,6 +13,7 @@ from pathideal.betti import (
     _face_masks,
     _intervals,
     _off_stars,
+    _union_closure,
     betti_hochster,
     betti_interval,
     betti_table,
@@ -370,27 +371,50 @@ def test_hochster_where_some_w_has_no_apex_or_a_cone_apex(text):
         assert expected == table({(0, 1): 3, (1, 2): 3, (2, 3): 1})
 
 
+def relative_cells(faces, order, w):
+    """The faces of Delta_W, given the faces of Delta, and the closed star of
+    the apex of W in it, the first vertex of ``order`` in W (no star when W
+    holds no vertex); the cells of W are the faces outside the star."""
+    inside = [f for f in faces if not f & ~w]
+    apex = next((v for v in order if w >> v & 1), None)
+    return inside, set() if apex is None else closed_star(inside, apex)
+
+
 def test_clearing_skips_exactly_the_pivot_faces(monkeypatch):
-    """For each visited W the reducers receive the faces of Delta_W outside
-    the apex's closed star but the pivot rows of the relative boundary one
-    size up, and none of a size with no such face one size down (the
-    vertices, as the empty face is in the star); that is fewer than clearing
-    alone would send."""
-    for ideal in (projective_plane_ideal(), make_path_ideal(PathParams(3, 1, 4))):
+    """For each distinct relative cell set of the visited W (the faces of
+    Delta_W outside the apex's closed star) the reducers receive its faces
+    but the pivot rows of the relative boundary one size up, and none of a
+    size with no such face one size down (the vertices, as the empty face
+    is in the star); that is fewer than clearing alone would send.  A W
+    whose cell set an earlier W had sends no column; on the third ideal
+    such repeats occur."""
+    ideals = [
+        projective_plane_ideal(),
+        make_path_ideal(PathParams(3, 1, 4)),
+        random_full_support_ideals(1)[9],
+    ]
+    for ideal in ideals:
         gens = ideal.gen_masks()
-        order = apex_order(induced_faces(gens, (1 << ideal.n) - 1))
+        every_face = induced_faces(gens, (1 << ideal.n) - 1)
+        order = apex_order(every_face)
         # with cone pruning the visited W are the unions of generator supports
         visited = {0}
         for g in gens:
             visited |= {w | g for w in visited}
         visited.discard(0)
+        # distinct: each distinct cell set, with the faces and star of a W
+        # that has it
+        distinct = {}
+        for w in visited:
+            faces, star = relative_cells(every_face, order, w)
+            distinct.setdefault(frozenset(faces) - star, (faces, star))
+        if ideal is ideals[-1]:
+            assert len(distinct) < len(visited), str(ideal)
         for field, name in ((GF2, "pivots_gf2"), (FieldSpec(3), "pivots_gfp"), (QQ, "pivots_qq")):
             expected = skipped = cleared_only = 0
-            for w in visited:
-                faces = induced_faces(gens, w)
+            for faces, star in distinct.values():
                 cleared_only += columns_sent(*boundary_ranks(faces, field))
-                apex = next(v for v in order if w >> v & 1)
-                sizes, ranks = boundary_ranks(faces, field, drop=closed_star(faces, apex))
+                sizes, ranks = boundary_ranks(faces, field, drop=star)
                 expected += columns_sent(sizes, ranks)
                 skipped += sum(ranks[2:])
             received = []
@@ -407,6 +431,95 @@ def test_clearing_skips_exactly_the_pivot_faces(monkeypatch):
             assert got == betti_taylor_tor(ideal, field)
             assert sum(received) == expected, (str(ideal), field.label)
             assert skipped > 0 and sum(received) < cleared_only
+
+
+def test_hochster_reduces_each_relative_complex_once(monkeypatch):
+    """Within one call ``homology`` runs exactly once for each distinct cell
+    mask of the visited W, and so less often than there are visited W on
+    every random ideal and on the jobs together; the table is the sum over
+    every visited W of the homology of its cells."""
+    indexes = []
+
+    class CountingIndex(FaceIndex):
+        def __init__(self, faces):
+            self.reduced = []
+            super().__init__(faces)
+            indexes.append(self)
+
+        def homology(self, cells, field):
+            self.reduced.append(cells)
+            return super().homology(cells, field)
+
+    jobs = [(ideal, [GF2]) for ideal in random_full_support_ideals(1)]
+    jobs += [(ideal, [FieldSpec(3), QQ]) for ideal in crossval_ideals() if ideal.n <= 10]
+    reductions = visits = 0
+    for ideal, fields in jobs:
+        gens = ideal.gen_masks()
+        faces = induced_faces(gens, (1 << ideal.n) - 1)
+        order = apex_order(faces)
+        plain = FaceIndex(faces)
+        # masks[w]: the rows of the cells of W
+        masks = {}
+        for w in _union_closure(gens):
+            faces_w, star = relative_cells(faces, order, w)
+            masks[w] = sum(1 << plain.row[f] for f in faces_w if f not in star)
+        if fields == [GF2]:
+            assert len(set(masks.values())) < len(masks), str(ideal)
+        for field in fields:
+            entries = {}
+            for w, cells in masks.items():
+                j = w.bit_count()
+                for g, h in enumerate(plain.homology(cells, field)):
+                    if h and j - g - 1 >= 0:
+                        entries[(j - g - 1, j)] = entries.get((j - g - 1, j), 0) + h
+            indexes.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(pathideal.betti, "FaceIndex", CountingIndex)
+                got = betti_hochster(ideal, field)
+            assert got == BettiTable(entries), (str(ideal), field.label)
+            (index,) = indexes
+            assert sorted(index.reduced) == sorted(set(masks.values())), (str(ideal), field.label)
+            reductions += len(index.reduced)
+            visits += len(masks)
+    assert reductions < visits / 2
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(non_interval_ideals())
+@example(random_full_support_ideals(1)[9])  # 140 visited W, 34 distinct cell sets
+def test_visited_w_with_equal_cells_have_equal_homology(ideal):
+    """The claims that make the memo of ``betti_hochster`` exact and its
+    hits common, on the reduced homology of Delta_W by the oracle: two
+    visited W with the same relative cells have the same homology, and
+    taking from W a vertex other than its apex that lies in no cell leaves
+    the cells and the homology unchanged."""
+    gens = ideal.gen_masks()
+    every_face = induced_faces(gens, (1 << ideal.n) - 1)
+    order = apex_order(every_face)
+
+    def cells_of(w):
+        faces, star = relative_cells(every_face, order, w)
+        return frozenset(faces) - star
+
+    def homology_of(w, field):
+        return {d: h for d, h in homology_dims(induced_faces(gens, w), field).items() if h}
+
+    for field in (GF2, QQ):
+        by_cells = {}
+        for w in _union_closure(gens):
+            cells = cells_of(w)
+            homology = homology_of(w, field)
+            assert by_cells.setdefault(cells, homology) == homology, (str(ideal), bin(w))
+            apex = next((v for v in order if w >> v & 1), None)
+            in_cells = 0
+            for f in cells:
+                in_cells |= f
+            for u in range(ideal.n):
+                if not (w & ~in_cells) >> u & 1 or u == apex:
+                    continue
+                smaller = w ^ 1 << u
+                assert cells_of(smaller) == cells, (str(ideal), bin(w), u)
+                assert homology_of(smaller, field) == homology, (str(ideal), bin(w), u)
 
 
 def test_generator_row_matches_degree_histogram():

@@ -73,6 +73,9 @@ def test_gf2_reducer_small_cases():
 def test_reducer_picks_the_field_reducer():
     assert reducer(GF2) is pivots_gf2
     assert reducer(QQ) is pivots_qq
+    # one callable per field, built once
+    assert reducer(FieldSpec(3)) is reducer(FieldSpec(3))
+    assert reducer(FieldSpec(3)) is not reducer(FieldSpec(5))
     columns = [{0: 1, 1: 2}, {0: 2, 1: 1}]  # determinant -3
     assert len(reducer(FieldSpec(3))(columns)) == 1
     assert len(reducer(FieldSpec(5))(columns)) == 2
