@@ -5,9 +5,11 @@ All routes produce the table of the ideal (not of the quotient ring):
 * the combinatorial route sums reduced homology of induced subcomplexes of
   the associated simplicial complex, one subcomplex per vertex subset W,
   contributing to column ``j = |W|`` in homological degree ``i = j - d - 2``;
-* the algebraic route tensors the resolution indexed by generator subsets
-  with the residue field, keeping only subset differentials that do not
-  change the lcm, and reads the table off strand-by-strand homology;
+* the algebraic route tensors Lyubeznik's resolution, the subcomplex of the
+  Taylor resolution on the generator sets that are admissible under one
+  fixed order, with the residue field, keeping only subset differentials
+  that do not change the lcm, and reads the table off strand-by-strand
+  homology;
 * the interval route, for ideals whose generators are intervals of
   consecutive variables (the path family among them), splits off the last
   interval and recurses on integer tables; it uses no linear algebra.
@@ -29,13 +31,16 @@ star of one vertex of W, a cone whose faces need no rank.  It reduces
 those boundary matrices from the top size down with clearing: the faces
 that are pivot rows one size up are skipped, as their columns are proven
 to reduce to zero.  Both steps, and their proofs, are in
-``FaceIndex.homology``.  The algebraic route ranks every column of an
-unreduced complex, so ``--method both`` checks a reduced and cleared
+``FaceIndex.homology``.  The algebraic route builds a smaller resolution
+than Taylor's, but ranks every column of each of its strands, with no star
+and no clearing, so ``--method both`` checks a reduced and cleared
 computation against one that is neither, and a fault in the reduction or
-the clearing cannot hide in both routes at once.  Many W share one
-relative complex, and the combinatorial route reduces each distinct one
-once per call (``betti_hochster`` proves why that is exact and why the
-repeats are common).
+the clearing cannot hide in both routes at once.  Its cost follows the
+number of admissible sets, not 2^k, and it is capped on that number
+(``lyubeznik_cells``).  Many W share one relative complex, and the
+combinatorial route reduces each distinct one once per call
+(``betti_hochster`` proves why that is exact and why the repeats are
+common).
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
-from .caps import SUBSET_CAP_N, TAYLOR_CAP_K, CapExceeded
+from .caps import STRAND_CAP_CELLS, SUBSET_CAP_N, CapExceeded
 from .complexes import FaceIndex
 from .fields import GF2, FieldSpec, rank_sparse
 from .monomials import MonomialIdeal, iter_bits
@@ -280,9 +285,9 @@ def betti_hochster(
     holds one entry per distinct mask and is dropped when the call
     returns.
 
-    The strand route ranks every column of an unreduced complex, so
-    ``--method both`` compares this computation against one that neither
-    reduces against a star nor clears.
+    The strand route ranks every column of each strand of the Lyubeznik
+    complex, so ``--method both`` compares this computation against one
+    that neither reduces against a star nor clears.
     """
     _require_proper_nonzero(ideal)
     n = ideal.n
@@ -344,43 +349,119 @@ class ChainComplex:
         self.boundaries = boundaries  # boundaries[g] defined for g >= 1
 
 
-def taylor_strand_complexes(
-    ideal: MonomialIdeal, cap: int = TAYLOR_CAP_K
-) -> dict[int, ChainComplex]:
-    """The tensored subset resolution, split into one chain complex per degree.
+def lyubeznik_order(gen_masks: Iterable[int]) -> list[int]:
+    """The generator order of the strand route: sorted by (degree, mask),
+    then the even positions of that list followed by the odd ones.
 
-    Basis elements are generator subsets S at homological degree |S| with
-    internal degree |lcm S|; a differential term S -> S\\{g} survives the
-    tensor exactly when dropping g does not change the lcm, so each internal
-    degree j carries its own complex.
+    Every total order gives a Lyubeznik resolution, and the number of
+    cells depends on it.  On a path ideal with a large overlap the
+    generator between two others divides their lcm.  In the sorted order
+    it never precedes both, and ``(5, 3, 14)`` keeps all 16,384 Taylor
+    cells; in this order the middle generator of each pair in the second
+    half comes first, and 4,352 cells are left.
     """
-    gen_masks = ideal.gen_masks()
-    k = len(gen_masks)
-    if k > cap:
-        raise CapExceeded(f"k={k} exceeds cap {cap}")
-    total = 1 << k
-    lcm = [0] * total
-    for s in range(1, total):
-        low = s & -s
-        lcm[s] = lcm[s ^ low] | gen_masks[low.bit_length() - 1]
+    ranked = sorted(gen_masks, key=lambda g: (g.bit_count(), g))
+    return ranked[0::2] + ranked[1::2]
 
-    # groups[(h, j)]: the subsets with h generators and an lcm of degree j,
-    # in increasing order; position[s]: the place of s in its group
-    groups: dict[tuple[int, int], list[int]] = {}
-    position = [0] * total
-    for s in range(total):
-        group = groups.setdefault((s.bit_count(), lcm[s].bit_count()), [])
-        position[s] = len(group)
-        group.append(s)
+
+def lyubeznik_cells(order: list[int], cap: int = STRAND_CAP_CELLS) -> dict[int, int]:
+    """The admissible sets of the generators ``order``, as a map from the
+    set (bit t for ``order[t]``) to its lcm; the empty set is one of them.
+
+    A set {i_1 < ... < i_r} is admissible when, for every t < r, no m_q
+    with q < i_t divides lcm(m_{i_t}, ..., m_{i_r}) (G. Lyubeznik, J. Pure
+    Appl. Algebra 51, 1988).  The search starts from the singletons and
+    prepends a smaller index i to an admissible set T when no m_q with
+    q < i divides lcm({i} + T), the one condition that {i} + T adds.
+
+    Proof that the search reaches every admissible set exactly once.  Let
+    S = {i_1 < ... < i_r} with r >= 2 and T = S - {i_1}.  The tails of S
+    from t >= 2 are the tails of T, with the same indices, so S is
+    admissible iff T is admissible and no m_q with q < i_1 divides lcm S,
+    which is the test (every such q lies outside S).  Singletons have no
+    condition.  By induction on r the search reaches every admissible set,
+    from its one parent S - {i_1}, which it reaches once; and it prepends
+    only when the test passes, so it reaches no other set.
+
+    The cells are counted as they are found, the empty set among them, and
+    ``CapExceeded`` is raised as soon as the count passes ``cap``, before
+    any rank.  At most 2^k sets are admissible, so the default cap of 2^18
+    refuses no ideal with k <= 18.
+    """
+    k = len(order)
+    cells = {0: 0}
+    stack = [(1 << j, order[j], j) for j in range(k)]
+    while stack:
+        cell, whole, low = stack.pop()
+        cells[cell] = whole
+        if len(cells) > cap:
+            raise CapExceeded(f"k={k}: cell count exceeds cap {cap}")
+        # m_q divides whole | m_i iff m_i holds the part of m_q outside whole
+        misses: list[int] = []
+        for i in range(low):
+            g = order[i]
+            for miss in misses:
+                if miss & g == miss:
+                    break
+            else:
+                stack.append((cell | 1 << i, whole | g, i))
+            misses.append(g & ~whole)
+    return cells
+
+
+def taylor_strand_complexes(
+    ideal: MonomialIdeal, cap: int = STRAND_CAP_CELLS
+) -> dict[int, ChainComplex]:
+    """The tensored Lyubeznik resolution, split into one chain complex per
+    degree.
+
+    The cells are the admissible sets of ``lyubeznik_cells`` under
+    ``lyubeznik_order``.  Cell S sits at homological degree |S| with
+    internal degree |lcm S|, in increasing mask order within its
+    (|S|, |lcm S|) group; a differential term S -> S - {g} survives the
+    tensor exactly when dropping g does not change the lcm, so each
+    internal degree j carries its own complex.
+
+    Proof.  Admissible sets are closed under subsets.  Let T be a subset
+    of an admissible S and j < j' two elements of T.  The tail of T from j
+    lies inside the tail of S from j, and j is not the last element of S,
+    so no m_q with q < j divides the lcm of the tail of S, nor the lcm of
+    the tail of T, which divides it.  So every face S - {g} of a cell is a
+    cell, and Taylor's differential
+    d e_S = sum over g in S of +-(lcm S / lcm(S - {g})) e_{S - {g}},
+    restricted to the cells, is well defined.  With it the cells span a
+    subcomplex L of the Taylor complex that is a free resolution of R/I
+    (Lyubeznik 1988; J. Mermin, "Three simplicial resolutions", 2012).
+    Tensoring with the residue field sends a coefficient
+    lcm S / lcm(S - {g}) to 1 when the lcm does not change and to 0
+    otherwise, so L tensor k has the cells as basis and keeps only the
+    terms between cells of one lcm.  Those preserve the degree |lcm S|, so
+    L tensor k is the direct sum of its strands, exactly as the Taylor
+    complex is, and Tor_h(R/I, k)_j, the entry (h - 1, j) of the ideal's
+    table, is the homology of strand j at |S| = h.
+    """
+    order = lyubeznik_order(ideal.gen_masks())
+    lcm = lyubeznik_cells(order, cap)
+
+    # by_degree[j][h]: the cells with an lcm of degree j and h generators,
+    # in increasing order; position[s]: the place of s in its list
+    by_degree: dict[int, list[list[int]]] = {}
+    position: dict[int, int] = {}
+    for s in sorted(lcm):
+        sized = by_degree.setdefault(lcm[s].bit_count(), [])
+        h = s.bit_count()
+        while len(sized) <= h:
+            sized.append([])
+        position[s] = len(sized[h])
+        sized[h].append(s)
 
     strands: dict[int, ChainComplex] = {}
-    for j in sorted({j for _, j in groups}):
-        top = max(h for h, jj in groups if jj == j)
-        sizes = [len(groups.get((h, j), [])) for h in range(top + 1)]
+    for j in sorted(by_degree):
+        sized = by_degree[j]
         boundaries: list[list[list[tuple[int, int]]]] = [[]]
-        for h in range(1, top + 1):
+        for cells in sized[1:]:
             cols = []
-            for s in groups.get((h, j), []):
+            for s in cells:
                 # the sign of dropping a generator is -1 to the number of
                 # generators of s below it: it alternates over the set bits
                 column = []
@@ -395,14 +476,14 @@ def taylor_strand_complexes(
                     sign = -sign
                 cols.append(column)
             boundaries.append(cols)
-        strands[j] = ChainComplex(sizes, boundaries)
+        strands[j] = ChainComplex([len(cells) for cells in sized], boundaries)
     return strands
 
 
 def betti_taylor_tor(
-    ideal: MonomialIdeal, field: FieldSpec = GF2, cap: int = TAYLOR_CAP_K
+    ideal: MonomialIdeal, field: FieldSpec = GF2, cap: int = STRAND_CAP_CELLS
 ) -> BettiTable:
-    """Betti table from strand homology of the tensored subset resolution."""
+    """Betti table from strand homology of the tensored Lyubeznik resolution."""
     _require_proper_nonzero(ideal)
     entries: dict[tuple[int, int], int] = {}
     for j, chain in taylor_strand_complexes(ideal, cap).items():
@@ -531,7 +612,8 @@ def betti_interval(ideal: MonomialIdeal) -> BettiTable:
     keys are intervals translated to start at 1.
 
     The route does no linear algebra and visits O(k^2) interval tuples at
-    most, against the 2^n or 2^k subsets of the other two.
+    most, against the 2^n vertex subsets and up to 2^k generator sets of
+    the other two.
     """
     _require_proper_nonzero(ideal)
     intervals = _intervals(ideal)
@@ -554,38 +636,39 @@ def betti_table(
     field: FieldSpec = GF2,
     method: str = "auto",
     cap_n: int = SUBSET_CAP_N,
-    cap_k: int = TAYLOR_CAP_K,
+    cap_cells: int = STRAND_CAP_CELLS,
 ) -> BettiTable:
     """Compute the Betti table by the requested method.
 
     ``auto`` takes the interval route whenever every generator is an
-    interval of consecutive variables, and otherwise the exponential route
-    with the smaller subset count; ``both`` runs the two exponential routes
-    and insists on exact agreement.
+    interval of consecutive variables, and otherwise the homology route
+    when n <= k and the strand route when n > k, each falling back on the
+    other beyond its cap; ``both`` runs the two exponential routes and
+    insists on exact agreement.
     """
     _require_proper_nonzero(ideal)
     n, k = ideal.n, len(ideal.gens)
     if method == "hochster":
         return betti_hochster(ideal, field, cap=cap_n)
     if method == "taylor":
-        return betti_taylor_tor(ideal, field, cap=cap_k)
+        return betti_taylor_tor(ideal, field, cap=cap_cells)
     if method == "interval":
         return betti_interval(ideal)
     if method == "auto":
         intervals = _intervals(ideal)
         if intervals is not None:
             return _interval_table(ideal, intervals)
-        prefer_hochster = n <= k
-        if prefer_hochster and n <= cap_n:
+        if n <= k and n <= cap_n:
             return betti_hochster(ideal, field, cap=cap_n)
-        if k <= cap_k:
-            return betti_taylor_tor(ideal, field, cap=cap_k)
-        if n <= cap_n:
-            return betti_hochster(ideal, field, cap=cap_n)
-        raise CapExceeded(f"n={n} and k={k} both exceed their caps ({cap_n}, {cap_k})")
+        try:
+            return betti_taylor_tor(ideal, field, cap=cap_cells)
+        except CapExceeded as exc:
+            if n <= cap_n:
+                return betti_hochster(ideal, field, cap=cap_n)
+            raise CapExceeded(f"n={n} exceeds cap {cap_n} and {exc}") from None
     if method == "both":
         via_homology = betti_hochster(ideal, field, cap=cap_n)
-        via_strands = betti_taylor_tor(ideal, field, cap=cap_k)
+        via_strands = betti_taylor_tor(ideal, field, cap=cap_cells)
         if via_homology != via_strands:
             raise RuntimeError(
                 "the two Betti routes disagree on "

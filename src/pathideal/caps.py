@@ -12,10 +12,17 @@ the enumeration of minimal vertex covers.  The cover enumeration is
 output-sensitive, but the number of minimal covers can itself grow
 exponentially in n (on the length-2 path it grows like the Padovan
 numbers), so it keeps ``n <= 16``.
+
+``STRAND_CAP_CELLS`` caps the cells of the strand route: the generator sets
+that are admissible in Lyubeznik's sense, the empty set among them.  They
+are counted as the search finds them, and the route refuses as soon as the
+count passes the cap, before any rank.  A set of k generators has at most
+2^k admissible subsets, so every ideal with ``k <= 18`` stays in reach, and
+larger ones are refused only when the search finds more than 2^18 cells.
 """
 
 SUBSET_CAP_N = 16
-TAYLOR_CAP_K = 18
+STRAND_CAP_CELLS = 1 << 18
 SHELLING_CAP_FACETS = 12
 MINOR_CAP_N = 12
 SEQ_CM_CAP_N = 10

@@ -20,8 +20,8 @@ from .caps import (
     MINOR_CAP_N,
     SEQ_CM_CAP_N,
     SHELLING_CAP_FACETS,
+    STRAND_CAP_CELLS,
     SUBSET_CAP_N,
-    TAYLOR_CAP_K,
     CapExceeded,
 )
 from .fields import parse_field
@@ -107,7 +107,9 @@ def cmd_gen(args) -> int:
 def cmd_betti(args) -> int:
     ideal = _resolve_ideal(args)
     field = parse_field(args.field)
-    table = betti_table(ideal, field, args.method, cap_n=args.cap_n, cap_k=args.cap_k)
+    table = betti_table(
+        ideal, field, args.method, cap_n=args.cap_n, cap_cells=args.cap_cells
+    )
     inv = invariants_of(table)
     depths = depth_of(ideal, table)
     if args.json:
@@ -184,7 +186,7 @@ def cmd_verify(args) -> int:
         k_fixed=args.k,
         k_max=args.k_max,
         cap_n=args.cap_n,
-        cap_k=args.cap_k,
+        cap_cells=args.cap_cells,
         jobs=args.jobs,
         timing=args.timing,
     )
@@ -335,7 +337,7 @@ def cmd_open_problem(args) -> int:
     field = parse_field(args.field)
     records = open_problem_sweep(
         n_max=args.n_max, field=field, method=args.method,
-        cap_n=args.cap_n, cap_k=args.cap_k,
+        cap_n=args.cap_n, cap_cells=args.cap_cells,
     )
     if args.json:
         _emit(open_problem_to_json(records), args.out)
@@ -363,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     tables.add_argument("--method", default="auto",
                         choices=["auto", "interval", "hochster", "taylor", "both"])
     tables.add_argument("--cap-n", type=int, default=SUBSET_CAP_N, dest="cap_n")
-    tables.add_argument("--cap-k", type=int, default=TAYLOR_CAP_K, dest="cap_k")
+    tables.add_argument("--cap-cells", type=int, default=STRAND_CAP_CELLS, dest="cap_cells")
 
     p_gen = sub.add_parser("gen", parents=[output], help="emit an ideal")
     _params_args(p_gen)

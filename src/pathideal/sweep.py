@@ -22,7 +22,7 @@ import time
 from typing import Iterator, Optional
 
 from .betti import BettiTable, betti_table, depth_of, invariants_of
-from .caps import SUBSET_CAP_N, TAYLOR_CAP_K, CapExceeded
+from .caps import STRAND_CAP_CELLS, SUBSET_CAP_N, CapExceeded
 from .fields import GF2, FieldSpec, parse_field
 from .monomials import MonomialIdeal, ideal_to_text
 from .pathfamily import (
@@ -70,13 +70,13 @@ def iter_param_grid(
 
 
 def _ideal_and_table(
-    params: PathParams, field: FieldSpec, method: str, cap_n: int, cap_k: int
+    params: PathParams, field: FieldSpec, method: str, cap_n: int, cap_cells: int
 ) -> tuple[MonomialIdeal, Optional[BettiTable], str]:
     """The path ideal and its Betti table; beyond a cap the table is None
     and the reason is the cap's message."""
     ideal = make_path_ideal(params)
     try:
-        return ideal, betti_table(ideal, field, method, cap_n=cap_n, cap_k=cap_k), ""
+        return ideal, betti_table(ideal, field, method, cap_n=cap_n, cap_cells=cap_cells), ""
     except CapExceeded as exc:
         return ideal, None, str(exc)
 
@@ -86,7 +86,7 @@ def evaluate_instance(
     field: FieldSpec,
     method: str = "auto",
     cap_n: int = SUBSET_CAP_N,
-    cap_k: int = TAYLOR_CAP_K,
+    cap_cells: int = STRAND_CAP_CELLS,
     timing: bool = False,
 ) -> dict:
     """One sweep record as a plain dict (JSON- and pickle-friendly)."""
@@ -105,7 +105,7 @@ def evaluate_instance(
         "millis": 0, "status": "ok", "reason": "",
     }
     started = time.perf_counter()
-    ideal, table, reason = _ideal_and_table(params, field, method, cap_n, cap_k)
+    ideal, table, reason = _ideal_and_table(params, field, method, cap_n, cap_cells)
     if table is None:
         record["status"] = "skipped"
         record["reason"] = reason
@@ -125,9 +125,9 @@ def evaluate_instance(
 
 
 def _evaluate_worker(args: tuple) -> dict:
-    m, l, k, field_text, method, cap_n, cap_k, timing = args
+    m, l, k, field_text, method, cap_n, cap_cells, timing = args
     return evaluate_instance(
-        PathParams(m, l, k), parse_field(field_text), method, cap_n, cap_k, timing
+        PathParams(m, l, k), parse_field(field_text), method, cap_n, cap_cells, timing
     )
 
 
@@ -145,7 +145,7 @@ def run_sweep(
     k_fixed: Optional[int] = None,
     k_max: Optional[int] = None,
     cap_n: int = SUBSET_CAP_N,
-    cap_k: int = TAYLOR_CAP_K,
+    cap_cells: int = STRAND_CAP_CELLS,
     jobs: int = 1,
     timing: bool = False,
     log=None,
@@ -157,12 +157,12 @@ def run_sweep(
         # would slow down every start of the package
         import concurrent.futures
 
-        args = [(p.m, p.l, p.k, field.label, method, cap_n, cap_k, timing) for p in grid]
+        args = [(p.m, p.l, p.k, field.label, method, cap_n, cap_cells, timing) for p in grid]
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             records = list(pool.map(_evaluate_worker, args))
     else:
         records = [
-            evaluate_instance(p, field, method, cap_n, cap_k, timing) for p in grid
+            evaluate_instance(p, field, method, cap_n, cap_cells, timing) for p in grid
         ]
     records.sort(key=lambda r: (r["m"], r["l"], r["k"]))
     log = log if log is not None else sys.stderr
@@ -194,7 +194,7 @@ def open_problem_sweep(
     field: FieldSpec = GF2,
     method: str = "auto",
     cap_n: int = SUBSET_CAP_N,
-    cap_k: int = TAYLOR_CAP_K,
+    cap_cells: int = STRAND_CAP_CELLS,
     log=None,
 ) -> list[dict]:
     """Oracle regularity for every offset-step instance with n <= n_max.
@@ -211,7 +211,7 @@ def open_problem_sweep(
         if classify_branch(params.m, params.l) is not Branch.OFFSET_STEP:
             continue
         regime = classify(params)
-        ideal, table, reason = _ideal_and_table(params, field, method, cap_n, cap_k)
+        ideal, table, reason = _ideal_and_table(params, field, method, cap_n, cap_cells)
         small_overlap_value = (params.k - 1) * (params.m - params.l - 1) + params.m
         record = {
             "m": params.m, "l": params.l, "k": params.k, "n": params.n,

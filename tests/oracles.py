@@ -159,25 +159,60 @@ def minors(clutter, cap=MINOR_CAP_N):
             yield (zeros, ones), minor
 
 
-def taylor_strands_by_definition(ideal):
+def documented_order(gen_masks):
+    """The strand route's generator order as its docstring states it:
+    sorted by (degree, mask), then the even positions of that list followed
+    by the odd ones."""
+    ranked = sorted(gen_masks, key=lambda g: (g.bit_count(), g))
+    return [ranked[t] for t in range(0, len(ranked), 2)] + [
+        ranked[t] for t in range(1, len(ranked), 2)
+    ]
+
+
+def admissible_sets_by_definition(order):
+    """The Lyubeznik-admissible subsets of the generators ``order`` (bit t
+    for ``order[t]``), in increasing mask order, by checking each of the
+    2^k subsets literally: {i_1 < ... < i_r} is kept when for every t < r no
+    order[q] with q < i_t divides the lcm of order[i_t], ..., order[i_r]."""
+    kept = []
+    for s in range(1 << len(order)):
+        members = [t for t in range(len(order)) if s >> t & 1]
+        admissible = True
+        for t in range(len(members) - 1):
+            tail = 0
+            for u in members[t:]:
+                tail |= order[u]
+            if any(order[q] & tail == order[q] for q in range(members[t])):
+                admissible = False
+                break
+        if admissible:
+            kept.append(s)
+    return kept
+
+
+def taylor_strands_by_definition(ideal, gens=None, cells=None):
     """The strands of the tensored subset resolution, straight from the
     definition, as a map j -> (sizes, boundaries).
 
-    Subset S of the generators, in increasing mask order within its
-    (|S|, |lcm S|) group, has its row there; its boundary column has a term
-    for each position pos of S, in increasing order, whose generator can be
-    dropped without changing the lcm, with sign -1 to the number of
-    generators of S below pos.
+    The generators are ``gens`` (default: the ideal's own order), and the
+    subsets are ``cells`` (default: all of them; a family closed under
+    subsets).  Subset S has its row in increasing mask order within its
+    (|S|, |lcm S|) group; its boundary column has a term for each position
+    pos of S, in increasing order, whose generator can be dropped without
+    changing the lcm, with sign -1 to the number of generators of S below
+    pos.
     """
-    gens = ideal.gen_masks()
+    gens = ideal.gen_masks() if gens is None else gens
     k = len(gens)
-    lcm = [0] * (1 << k)
-    for s in range(1 << k):
+    cells = range(1 << k) if cells is None else sorted(cells)
+    lcm = {}
+    for s in cells:
+        lcm[s] = 0
         for pos in range(k):
             if s >> pos & 1:
                 lcm[s] |= gens[pos]
     groups = {}
-    for s in range(1 << k):
+    for s in cells:
         groups.setdefault((s.bit_count(), lcm[s].bit_count()), []).append(s)
     index = {key: {s: i for i, s in enumerate(subsets)} for key, subsets in groups.items()}
     strands = {}
@@ -199,3 +234,23 @@ def taylor_strands_by_definition(ideal):
             boundaries.append(cols)
         strands[j] = (sizes, boundaries)
     return strands
+
+
+def strand_table(strands, field):
+    """The ideal's Betti entries from strands in the form of
+    :func:`taylor_strands_by_definition`, by dense matrices and
+    :func:`reference_rank`: cells of size h in strand j give (h - 1, j)."""
+    entries = {}
+    for j, (sizes, boundaries) in strands.items():
+        ranks = [0] * (len(sizes) + 1)
+        for h in range(1, len(sizes)):
+            matrix = [[0] * sizes[h] for _ in range(sizes[h - 1])]
+            for c, col in enumerate(boundaries[h]):
+                for r, sign in col:
+                    matrix[r][c] = sign
+            ranks[h] = reference_rank(matrix, field.p)
+        for h in range(1, len(sizes)):
+            dim = sizes[h] - ranks[h] - ranks[h + 1]
+            if dim:
+                entries[(h - 1, j)] = dim
+    return entries

@@ -20,6 +20,8 @@ from pathideal.betti import (
     betti_taylor_tor,
     depth_of,
     invariants_of,
+    lyubeznik_cells,
+    lyubeznik_order,
     taylor_strand_complexes,
 )
 from pathideal.caps import CapExceeded
@@ -40,13 +42,16 @@ from pathideal.pathfamily import (
 )
 
 from oracles import (
+    admissible_sets_by_definition,
     apex_order,
     boundary_ranks,
     closed_star,
     columns_sent,
     composition_is_zero,
+    documented_order,
     homology_dims,
     stanley_reisner_complex,
+    strand_table,
     taylor_strands_by_definition,
 )
 
@@ -554,14 +559,28 @@ def test_torsion_ideal_distinguishes_fields():
         assert betti_hochster(ideal, field) == betti_taylor_tor(ideal, field)
 
 
-def test_dispatcher_and_caps():
+def test_dispatcher_and_caps(monkeypatch):
     ideal = make_path_ideal(PathParams(2, 1, 3))
     auto = betti_table(ideal, GF2, "auto")
     assert auto == betti_table(ideal, GF2, "both")
     with pytest.raises(CapExceeded):
         betti_hochster(make_path_ideal(PathParams(2, 1, 17)), GF2)
-    with pytest.raises(CapExceeded):
-        betti_taylor_tor(make_full_path_ideal(2, 21), GF2, cap=18)
+    # k = 20 is in reach: 147,456 of the 2^20 subsets are admissible
+    full = make_full_path_ideal(2, 21)
+    assert betti_taylor_tor(full, GF2) == betti_interval(full)
+    # on (3, 1, 20) all 2^20 subsets are admissible (the Taylor complex is
+    # minimal there), and the search refuses before any rank
+    ranks = []
+    monkeypatch.setattr(pathideal.betti, "rank_sparse", lambda *args: ranks.append(args))
+    with pytest.raises(CapExceeded, match="cell count exceeds cap 262144"):
+        betti_taylor_tor(make_path_ideal(PathParams(3, 1, 20)), GF2)
+    assert ranks == []
+    monkeypatch.undo()
+    # auto falls back on the homology route beyond the cell cap
+    triangle = ideal_from_text("n=5; (x1*x2, x2*x3, x1*x3)")  # 6 cells, n > k
+    assert betti_table(triangle, QQ, "auto", cap_cells=5) == betti_hochster(triangle, QQ)
+    with pytest.raises(CapExceeded, match="n=5 exceeds cap 4 and k=3: cell count exceeds cap 5"):
+        betti_table(triangle, QQ, "auto", cap_n=4, cap_cells=5)
     with pytest.raises(ValueError):
         betti_table(ideal, GF2, "magic")
     with pytest.raises(ValueError):
@@ -666,13 +685,42 @@ def crossval_ideals():
 
 
 def test_taylor_strand_complexes_match_the_definition():
+    # the cells are the admissible sets found by checking every subset
+    # literally, under the documented order, and the strands are the
+    # definition's, restricted to those cells
     rng = random.Random(20260105)
-    ideals = crossval_ideals() + [projective_plane_ideal()]
+    ideals = crossval_ideals() + [projective_plane_ideal(), make_path_ideal(PathParams(5, 3, 12))]
     ideals += [random_proper_ideal(rng, rng.randint(2, 8), 8) for _ in range(40)]
     for ideal in ideals:
+        order = documented_order(ideal.gen_masks())
+        assert lyubeznik_order(ideal.gen_masks()) == order, str(ideal)
+        admissible = admissible_sets_by_definition(order)
+        assert sorted(lyubeznik_cells(order)) == admissible, str(ideal)
         strands = taylor_strand_complexes(ideal)
         built = {j: (chain.sizes, chain.boundaries) for j, chain in strands.items()}
-        assert built == taylor_strands_by_definition(ideal), str(ideal)
+        assert built == taylor_strands_by_definition(ideal, order, admissible), str(ideal)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(non_interval_ideals(max_gens=8))
+@example(projective_plane_ideal())
+def test_strand_tables_equal_the_homology_of_the_taylor_complex(ideal):
+    # the Lyubeznik strands and all 2^k Taylor cells have the same homology
+    strands = taylor_strands_by_definition(ideal)
+    for field in (GF2, FieldSpec(3), QQ):
+        got = betti_taylor_tor(ideal, field)
+        assert got.entries == strand_table(strands, field), (str(ideal), field.label)
+
+
+def test_pinned_admissible_cell_counts():
+    large_overlap = lyubeznik_order(make_path_ideal(PathParams(5, 3, 14)).gen_masks())
+    assert len(lyubeznik_cells(large_overlap)) == 4352  # of 2^14 = 16,384
+    # the count passes a cap only above it, the empty set counted
+    assert len(lyubeznik_cells(large_overlap, cap=4352)) == 4352
+    with pytest.raises(CapExceeded):
+        lyubeznik_cells(large_overlap, cap=4351)
+    small_overlap = lyubeznik_order(make_path_ideal(PathParams(3, 1, 14)).gen_masks())
+    assert len(lyubeznik_cells(small_overlap)) == 1 << 14
 
 
 def test_face_masks_are_the_subsets_without_a_generator():

@@ -140,6 +140,26 @@ def test_verify_json_byte_identical(capsys):
     assert out1 == out2
 
 
+def test_verify_records_a_cell_cap_refusal_as_skipped(capsys):
+    args = ["verify", "--m-min", "2", "--m-max", "2", "--n-max", "8", "--method", "taylor", "--json"]
+    code, out, err = run(capsys, *args, "--cap-cells", "8")
+    assert code == 0
+    capped = json.loads(out)
+    skipped = [r for r in capped["records"] if r["status"] == "skipped"]
+    assert skipped and capped["summary"]["skipped"] == len(skipped)
+    assert all(r["reason"] == f"k={r['k']}: cell count exceeds cap 8" for r in skipped)
+    assert "skipped" in err
+    # the instances within the cap keep their records
+    _, out, _ = run(capsys, *args)
+    full = {(r["m"], r["l"], r["k"]): r for r in json.loads(out)["records"]}
+    kept = [r for r in capped["records"] if r["status"] == "ok"]
+    assert kept and all(full[(r["m"], r["l"], r["k"])] == r for r in kept)
+    # the cell cap replaces the generator cap
+    with pytest.raises(SystemExit) as info:
+        main([*args, "--cap-k", "18"])
+    assert info.value.code == 2
+
+
 def test_split_command(capsys):
     code, out, _ = run(capsys, "split", "--m", "3", "--l", "1", "--k", "2", "--json")
     assert code == 0
@@ -337,7 +357,7 @@ def test_sweep_parallel_matches_serial():
 
 def test_sweep_skips_over_cap_instances(capsys):
     log = io.StringIO()
-    report = run_sweep(2, 2, 8, GF2, "taylor", cap_k=3, log=log)
+    report = run_sweep(2, 2, 8, GF2, "taylor", cap_cells=8, log=log)
     skipped = [r for r in report["records"] if r["status"] == "skipped"]
     assert skipped and all("exceeds cap" in r["reason"] for r in skipped)
     assert "skipped" in log.getvalue()
@@ -360,13 +380,16 @@ def test_record_mismatch_drives_exit_code():
 def test_oversized_ambient_is_skipped_not_fatal():
     report = run_sweep(2, 2, 40, GF2, "taylor", k_fixed=39, log=io.StringIO())
     (record,) = report["records"]
-    assert record["status"] == "skipped" and "k=39 exceeds cap" in record["reason"]
+    assert record["status"] == "skipped"
+    assert record["reason"] == "k=39: cell count exceeds cap 262144"
     assert report["summary"]["mismatches"] == 0
 
 
 def test_open_problem_records_cap_overflow_as_skipped():
     log = io.StringIO()
-    capped = open_problem_sweep(n_max=11, method="taylor", cap_k=2, log=log)
+    # k <= 2 generators give at most 4 cells, and k >= 3 at least 6: the
+    # empty set, the singletons and the pairs holding the first generator
+    capped = open_problem_sweep(n_max=11, method="taylor", cap_cells=4, log=log)
     full = open_problem_sweep(n_max=11)
     assert [(r["m"], r["l"], r["k"]) for r in capped] == [(r["m"], r["l"], r["k"]) for r in full]
     skipped = [r for r in capped if r.get("status") == "skipped"]
@@ -381,7 +404,7 @@ def test_open_problem_builds_each_path_ideal_once(monkeypatch):
     calls = []
     build = sweep.make_path_ideal
     monkeypatch.setattr(sweep, "make_path_ideal", lambda params: calls.append(params) or build(params))
-    records = open_problem_sweep(n_max=11, method="taylor", cap_k=2, log=io.StringIO())
+    records = open_problem_sweep(n_max=11, method="taylor", cap_cells=4, log=io.StringIO())
     assert any(r.get("status") == "skipped" for r in records)
     assert [(p.m, p.l, p.k) for p in calls] == [(r["m"], r["l"], r["k"]) for r in records]
 
