@@ -20,10 +20,10 @@ and nothing in their inner loops is shared beyond the exact column
 reducers of ``fields``.  The combinatorial route takes its boundary
 columns from ``complexes.FaceIndex``, the package's one builder of
 simplicial boundaries, which also restricts and reduces them
-(``FaceIndex.pivots``); the algebraic route builds its own
-(``ChainComplex``) and ranks them through ``fields.rank_sparse``.  The
-interval route is polynomial and is always checked against them, never
-used as an oracle for itself.
+(``FaceIndex.pivots``); the algebraic route builds its own strands
+(``taylor_strand_complexes``) and ranks them through
+``fields.rank_sparse``.  The interval route is polynomial and is always
+checked against them, never used as an oracle for itself.
 
 The combinatorial route restricts the faces to each W with per-vertex
 bitmasks, and ranks the chain complex of Delta_W relative to the closed
@@ -45,7 +45,6 @@ common).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
@@ -61,8 +60,6 @@ class BettiTable:
     All public tables are tables of the ideal; the quotient-ring table is
     the shift i -> i+1 and is never stored.
     """
-
-    convention = "ideal"
 
     def __init__(self, entries: Mapping[tuple[int, int], int]):
         clean: dict[tuple[int, int], int] = {}
@@ -179,7 +176,7 @@ def _union_closure(gen_masks: Iterable[int]) -> list[int]:
 
 
 def _check_degree_row(ideal: MonomialIdeal, table: BettiTable) -> None:
-    hist = dict(Counter(g.bit_count() for g in ideal.gen_masks()))
+    hist = ideal.degree_histogram()
     row = {j: b for (i, j), b in table._entries.items() if i == 0}
     if row != hist:
         raise RuntimeError(
@@ -327,26 +324,15 @@ def betti_hochster(
             dims = index.homology(cells, field)
             pairs = homologies[cells] = [(g, h) for g, h in enumerate(dims) if h]
         j = w.bit_count()
+        # i >= 0: a face of size j inside W is W itself, which holds the apex
+        # and so lies in its closed star, never a cell; with no apex the one
+        # cell is the empty face; so g <= j - 1 for every cell
         for g, h in pairs:
             i = j - g - 1  # faces of size g have dimension g - 1
-            if i >= 0:
-                entries[(i, j)] = entries.get((i, j), 0) + h
+            entries[(i, j)] = entries.get((i, j), 0) + h
     table = BettiTable(entries)
     _check_degree_row(ideal, table)
     return table
-
-
-class ChainComplex:
-    """A bounded chain complex of based vector spaces with integer matrices.
-
-    ``sizes[g]`` is the dimension in grade g and ``boundaries[g]`` holds the
-    sparse columns ``[(row, coeff), ...]`` of the map grade g -> grade g-1
-    (g >= 1).
-    """
-
-    def __init__(self, sizes: list[int], boundaries: list[list[list[tuple[int, int]]]]):
-        self.sizes = sizes
-        self.boundaries = boundaries  # boundaries[g] defined for g >= 1
 
 
 def lyubeznik_order(gen_masks: Iterable[int]) -> list[int]:
@@ -409,11 +395,16 @@ def lyubeznik_cells(order: list[int], cap: int = STRAND_CAP_CELLS) -> dict[int, 
     return cells
 
 
+Strand = tuple[list[int], list[list[list[tuple[int, int]]]]]
+
+
 def taylor_strand_complexes(
     ideal: MonomialIdeal, cap: int = STRAND_CAP_CELLS
-) -> dict[int, ChainComplex]:
+) -> dict[int, Strand]:
     """The tensored Lyubeznik resolution, split into one chain complex per
-    degree.
+    degree j, as ``{j: (sizes, boundaries)}``: ``sizes[h]`` cells at
+    homological degree h, and ``boundaries[h]`` (h >= 1) the sparse columns
+    ``[(row, coeff), ...]`` of the map from degree h to degree h - 1.
 
     The cells are the admissible sets of ``lyubeznik_cells`` under
     ``lyubeznik_order``.  Cell S sits at homological degree |S| with
@@ -455,7 +446,7 @@ def taylor_strand_complexes(
         position[s] = len(sized[h])
         sized[h].append(s)
 
-    strands: dict[int, ChainComplex] = {}
+    strands: dict[int, Strand] = {}
     for j in sorted(by_degree):
         sized = by_degree[j]
         boundaries: list[list[list[tuple[int, int]]]] = [[]]
@@ -476,7 +467,7 @@ def taylor_strand_complexes(
                     sign = -sign
                 cols.append(column)
             boundaries.append(cols)
-        strands[j] = ChainComplex([len(cells) for cells in sized], boundaries)
+        strands[j] = ([len(cells) for cells in sized], boundaries)
     return strands
 
 
@@ -486,13 +477,13 @@ def betti_taylor_tor(
     """Betti table from strand homology of the tensored Lyubeznik resolution."""
     _require_proper_nonzero(ideal)
     entries: dict[tuple[int, int], int] = {}
-    for j, chain in taylor_strand_complexes(ideal, cap).items():
-        top = len(chain.sizes) - 1
+    for j, (sizes, boundaries) in taylor_strand_complexes(ideal, cap).items():
+        top = len(sizes) - 1
         ranks = [0] * (top + 2)
         for h in range(1, top + 1):
-            ranks[h] = rank_sparse(chain.boundaries[h], chain.sizes[h - 1], field)
+            ranks[h] = rank_sparse(boundaries[h], sizes[h - 1], field)
         for h in range(1, top + 1):
-            dim = chain.sizes[h] - ranks[h] - ranks[h + 1]
+            dim = sizes[h] - ranks[h] - ranks[h + 1]
             if dim:
                 entries[(h - 1, j)] = dim
     table = BettiTable(entries)

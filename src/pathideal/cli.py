@@ -36,18 +36,17 @@ from .pathfamily import (
 )
 from .splitting import fht_condition, is_betti_splitting, splitting_invariant_bounds
 from .sweep import (
+    CSV_COLUMNS,
+    OPEN_PROBLEM_COLUMNS,
     open_problem_sweep,
-    open_problem_to_csv,
     open_problem_to_json,
     open_problem_to_text,
-    record_is_mismatch,
-    report_to_csv,
+    records_to_csv,
     report_to_json,
     report_to_text,
     run_sweep,
 )
 from .topology import (
-    Clutter,
     clutter_from_text,
     clutter_of,
     cover_complex,
@@ -70,18 +69,12 @@ def _resolve_ideal(args) -> MonomialIdeal:
     if args.ideal:
         return ideal_from_text(args.ideal)
     if args.m is None:
-        raise SystemExit2("one of --ideal or --m is required")
+        raise ValueError("one of --ideal or --m is required")
     if args.l is not None and args.k is not None:
         return make_path_ideal(PathParams(args.m, args.l, args.k))
     if args.n is not None:
         return make_full_path_ideal(args.m, args.n)
-    raise SystemExit2("give --l and --k for the general family, or --n for all paths")
-
-
-class SystemExit2(SystemExit):
-    def __init__(self, message: str):
-        print(f"error: {message}", file=sys.stderr)
-        super().__init__(2)
+    raise ValueError("give --l and --k for the general family, or --n for all paths")
 
 
 def _params_args(parser, with_n=True) -> None:
@@ -142,7 +135,7 @@ def cmd_formula(args) -> int:
         regime_info = {}
     else:
         if args.m is None or args.l is None or args.k is None:
-            raise SystemExit2("give --m --l --k, or --m --n for all paths")
+            raise ValueError("give --m --l --k, or --m --n for all paths")
         params = PathParams(args.m, args.l, args.k)
         result = formula_result(params)
         regime = classify(params)
@@ -193,7 +186,7 @@ def cmd_verify(args) -> int:
     if args.json:
         _emit(report_to_json(report), args.out)
     elif args.csv:
-        _emit(report_to_csv(report), args.out)
+        _emit(records_to_csv(report["records"], CSV_COLUMNS), args.out)
     else:
         _emit(report_to_text(report), args.out)
     return 1 if report["summary"]["mismatches"] else 0
@@ -204,14 +197,14 @@ def cmd_split(args) -> int:
     if args.ideal:
         ideal = ideal_from_text(args.ideal)
         if args.var is None:
-            raise SystemExit2("--var is required with --ideal")
+            raise ValueError("--var is required with --ideal")
         var = args.var
     else:
         if args.m is None or args.l is None or args.k is None:
-            raise SystemExit2("give --m --l --k (k >= 2), or --ideal with --var")
+            raise ValueError("give --m --l --k (k >= 2), or --ideal with --var")
         params = PathParams(args.m, args.l, args.k)
         if params.k < 2:
-            raise SystemExit2("splitting at the last generator needs k >= 2")
+            raise ValueError("splitting at the last generator needs k >= 2")
         ideal = make_path_ideal(params)
         var = params.n if args.var is None else args.var
     fht = fht_condition(ideal, var, field)
@@ -260,12 +253,20 @@ def cmd_cert(args) -> int:
         clutter = clutter_from_text(args.clutter)
     else:
         if args.m is None or args.l is None or args.k is None:
-            raise SystemExit2("give --m --l --k or --clutter")
+            raise ValueError("give --m --l --k or --clutter")
         clutter = clutter_of(make_path_ideal(PathParams(args.m, args.l, args.k)))
 
     payload: dict = {"clutter": str(clutter)}
-    if clutter.n <= args.cap_minors:
+    try:
         fvp, witness = free_vertex_property(clutter, cap=args.cap_minors)
+    except CapExceeded as exc:
+        # every interval clutter has the property, at any size
+        interval = is_interval_clutter(clutter)
+        payload["free_vertex_property"] = True if interval else None
+        payload["free_vertex_method"] = (
+            "interval-clutter theorem" if interval else f"skipped: {exc}"
+        )
+    else:
         payload["free_vertex_property"] = fvp
         if witness is not None:
             (zeros, ones), minor = witness
@@ -274,12 +275,6 @@ def cmd_cert(args) -> int:
                 "zeros": list(iter_bits(zeros)), "ones": list(iter_bits(ones)),
             }
         payload["free_vertex_method"] = "minor enumeration"
-    elif is_interval_clutter(clutter):
-        payload["free_vertex_property"] = True
-        payload["free_vertex_method"] = "interval-clutter theorem"
-    else:
-        payload["free_vertex_property"] = None
-        payload["free_vertex_method"] = f"skipped: n={clutter.n} exceeds cap {args.cap_minors}"
 
     try:
         cx = cover_complex(clutter)
@@ -342,7 +337,7 @@ def cmd_open_problem(args) -> int:
     if args.json:
         _emit(open_problem_to_json(records), args.out)
     elif args.csv:
-        _emit(open_problem_to_csv(records), args.out)
+        _emit(records_to_csv(records, OPEN_PROBLEM_COLUMNS), args.out)
     else:
         _emit(open_problem_to_text(records), args.out)
     return 0
@@ -427,8 +422,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit2:
-        raise
     except (ValueError, CapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

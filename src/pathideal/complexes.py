@@ -97,9 +97,6 @@ class SimplicialComplex:
             out.add(0)
         return out
 
-    def has_face(self, mask: int) -> bool:
-        return any(mask & f == mask for f in self.facets)
-
     def __str__(self) -> str:
         body = ",".join("{" + ",".join(str(i) for i in iter_bits(f)) + "}" for f in self.facets)
         return f"n={self.n}; {body}"

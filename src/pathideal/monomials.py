@@ -235,13 +235,11 @@ def ideal_product_disjoint(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
 
 
 # ---------------------------------------------------------------------------
-# text forms: `x1*x2*x3`, compact `{1,2,3}`, ideal `n=5; (x1*x2*x3, x3*x4*x5)`
+# text forms: `x1*x2*x3` (and `{1,2,3}` on input), ideal `n=5; (x1*x2*x3, x3*x4*x5)`
 # ---------------------------------------------------------------------------
 
 
-def monomial_to_text(m: Monomial, compact: bool = False) -> str:
-    if compact:
-        return "{" + ",".join(str(i) for i in m.vars) + "}"
+def monomial_to_text(m: Monomial) -> str:
     if m.mask == 0:
         return "1"
     return "*".join(f"x{i}" for i in m.vars)

@@ -16,12 +16,14 @@ the overlap and by the residue ``s = m mod (m-l)``:
 * large overlap with nonzero residue ``s``: projective dimension driven by
   ``n = p(2m-l-s) + d``; no closed regularity formula is known, so the
   regularity evaluator returns ``None`` in this regime.
+
+The classical ideal of all length-m paths on n vertices (``--m --n`` on the
+command line) is the member ``l = m-1``, ``k = n-m+1`` of the family, so it
+has no constructor or closed forms of its own.
 """
 
 from __future__ import annotations
 
-import json
-import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -62,30 +64,6 @@ class PathParams:
     @property
     def step(self) -> int:
         return self.m - self.l
-
-    @classmethod
-    def from_text(cls, text: str) -> "PathParams":
-        fields = {}
-        for part in text.split(","):
-            match = re.fullmatch(r"\s*([mlk])\s*=\s*(\d+)\s*", part)
-            if not match:
-                raise ValueError(f"cannot parse params fragment {part!r}")
-            fields[match.group(1)] = int(match.group(2))
-        missing = {"m", "l", "k"} - set(fields)
-        if missing:
-            raise ValueError(f"params text missing {sorted(missing)}")
-        return cls(fields["m"], fields["l"], fields["k"])
-
-    @classmethod
-    def from_json(cls, text: str) -> "PathParams":
-        data = json.loads(text)
-        params = cls(int(data["m"]), int(data["l"]), int(data["k"]))
-        if "n" in data and int(data["n"]) != params.n:
-            raise ValueError(f"inconsistent n={data['n']}: expected {params.n}")
-        return params
-
-    def to_json(self) -> str:
-        return json.dumps({"m": self.m, "l": self.l, "k": self.k, "n": self.n})
 
     def __str__(self) -> str:
         return f"m={self.m},l={self.l},k={self.k}"
@@ -146,13 +124,13 @@ def make_path_ideal(params: PathParams) -> MonomialIdeal:
 
 
 def make_full_path_ideal(m: int, n: int) -> MonomialIdeal:
-    """The ideal of all n-m+1 paths of length m in the line graph on n vertices."""
+    """The ideal of all n-m+1 paths of length m in the line graph on n
+    vertices: the family member l = m-1, k = n-m+1."""
     if m < 2:
         raise ValueError(f"path length m={m} must be >= 2")
     if m > n:
         raise ValueError(f"path length m={m} exceeds vertex count n={n}")
-    window = (1 << m) - 1
-    return minimalize(n, (Monomial(window << i) for i in range(n - m + 1)))
+    return make_path_ideal(PathParams(m, m - 1, n - m + 1))
 
 
 def _require_decomposition(regime: Regime) -> None:
@@ -184,10 +162,6 @@ def formula_reg(params: PathParams) -> Optional[int]:
     return base + 1 if regime.d != m else base + m
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
-
-
 def formula_depth(params: PathParams) -> int:
     """Closed-form depth of the ideal as a module (one more than depth of R/I)."""
     m, l, k, n = params.m, params.l, params.k, params.n
@@ -198,7 +172,7 @@ def formula_depth(params: PathParams) -> int:
         num, den = n + (m - l), 2 * m - l
     else:
         num, den = n + m - l - regime.s, 2 * m - l - regime.s
-    return n + 2 - _ceil_div(num, den) - num // den
+    return n + 2 - -(-num // den) - num // den  # ceil and floor of num / den
 
 
 def formula_result(params: PathParams) -> FormulaResult:
@@ -208,15 +182,12 @@ def formula_result(params: PathParams) -> FormulaResult:
 
 
 def formula_full_path(m: int, n: int) -> FormulaResult:
-    """Closed forms for the ideal of all length-m paths of the line graph on n vertices.
+    """Closed forms for the ideal of all length-m paths of the line graph on n
+    vertices, the family member l = m-1, k = n-m+1.
 
-    Uses the decomposition n = p(m+1) + d with 0 <= d <= m.
+    Its step m-l = 1 divides m, so it lies in the exact-step regime with
+    period 2m-l = m+1: the classical decomposition n = p(m+1) + d.
     """
     if m < 2 or m > n:
         raise ValueError(f"need 2 <= m <= n, got m={m}, n={n}")
-    p, d = divmod(n, m + 1)
-    pd = 2 * p - 1 if d != m else 2 * p
-    reg = p * (m - 1) + (1 if d != m else m)
-    num, den = n + 1, m + 1
-    depth = n + 2 - _ceil_div(num, den) - num // den
-    return FormulaResult(pd=pd, reg=reg, depth_I=depth, depth_RI=depth - 1)
+    return formula_result(PathParams(m, m - 1, n - m + 1))

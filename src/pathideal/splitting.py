@@ -84,7 +84,6 @@ def is_betti_splitting(
     J: MonomialIdeal,
     K: MonomialIdeal,
     field: FieldSpec = GF2,
-    method: str = "auto",
 ) -> SplitCase:
     """Check the splitting identity over all (i, j), reporting the first failure."""
     if I.n != J.n or I.n != K.n:
@@ -92,10 +91,10 @@ def is_betti_splitting(
     gens_j, gens_k, gens_i = set(J.gens), set(K.gens), set(I.gens)
     if not gens_j or not gens_k or gens_j & gens_k or gens_j | gens_k != gens_i:
         raise ValueError("generators of J and K do not partition those of I")
-    t_i = betti_table(I, field, method)
-    t_j = betti_table(J, field, method)
-    t_k = betti_table(K, field, method)
-    t_jk = betti_table(ideal_intersect(J, K), field, method)
+    t_i = betti_table(I, field)
+    t_j = betti_table(J, field)
+    t_k = betti_table(K, field)
+    t_jk = betti_table(ideal_intersect(J, K), field)
     points = set(t_i.entries) | set(t_j.entries) | set(t_k.entries)
     points |= {(i + 1, j) for (i, j) in t_jk.entries}
     witness = None

@@ -14,6 +14,7 @@ output.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import json
@@ -23,7 +24,7 @@ from typing import Iterator, Optional
 
 from .betti import BettiTable, betti_table, depth_of, invariants_of
 from .caps import STRAND_CAP_CELLS, SUBSET_CAP_N, CapExceeded
-from .fields import GF2, FieldSpec, parse_field
+from .fields import GF2, FieldSpec
 from .monomials import MonomialIdeal, ideal_to_text
 from .pathfamily import (
     Branch,
@@ -124,13 +125,6 @@ def evaluate_instance(
     return record
 
 
-def _evaluate_worker(args: tuple) -> dict:
-    m, l, k, field_text, method, cap_n, cap_cells, timing = args
-    return evaluate_instance(
-        PathParams(m, l, k), parse_field(field_text), method, cap_n, cap_cells, timing
-    )
-
-
 def record_is_mismatch(record: dict) -> bool:
     return any(record[key] is False for key in ("match_pd", "match_reg", "match_depth"))
 
@@ -152,18 +146,21 @@ def run_sweep(
 ) -> dict:
     """Sweep the grid and assemble a deterministic report dict."""
     grid = list(iter_param_grid(m_min, m_max, n_max, l_fixed, k_fixed, k_max))
+    # PathParams and FieldSpec are frozen module-level dataclasses, so the
+    # partial and the grid pickle as they are
+    evaluate = functools.partial(
+        evaluate_instance, field=field, method=method,
+        cap_n=cap_n, cap_cells=cap_cells, timing=timing,
+    )
     if jobs > 1:
         # imported here, where a pool is used: it pulls in logging, which
         # would slow down every start of the package
         import concurrent.futures
 
-        args = [(p.m, p.l, p.k, field.label, method, cap_n, cap_cells, timing) for p in grid]
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_evaluate_worker, args))
+            records = list(pool.map(evaluate, grid))
     else:
-        records = [
-            evaluate_instance(p, field, method, cap_n, cap_cells, timing) for p in grid
-        ]
+        records = list(map(evaluate, grid))
     records.sort(key=lambda r: (r["m"], r["l"], r["k"]))
     log = log if log is not None else sys.stderr
     for record in records:
@@ -252,12 +249,15 @@ def report_to_json(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
-def report_to_csv(report: dict) -> str:
+def records_to_csv(records: list[dict], columns: list[str]) -> str:
+    """One header row of ``columns``, then one row per record: ``CSV_COLUMNS``
+    for a sweep report's records, ``OPEN_PROBLEM_COLUMNS`` for the
+    open-problem records."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for r in report["records"]:
-        writer.writerow([_cell(r[c]) for c in CSV_COLUMNS])
+    writer.writerow(columns)
+    for r in records:
+        writer.writerow([_cell(r[c]) for c in columns])
     return out.getvalue()
 
 
@@ -293,15 +293,6 @@ def report_to_text(report: dict) -> str:
     if s["mismatch_params"]:
         lines.append("mismatching: " + ", ".join(s["mismatch_params"]))
     return "\n".join(lines) + "\n"
-
-
-def open_problem_to_csv(records: list[dict]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(OPEN_PROBLEM_COLUMNS)
-    for r in records:
-        writer.writerow([_cell(r[c]) for c in OPEN_PROBLEM_COLUMNS])
-    return out.getvalue()
 
 
 def open_problem_to_json(records: list[dict]) -> str:

@@ -195,18 +195,28 @@ def cover_complex(clutter: Clutter, cap: int = SUBSET_CAP_N) -> SimplicialComple
 # ---------------------------------------------------------------------------
 
 
+def _may_follow(f: int, placed: list[int]) -> bool:
+    """Whether facet f may follow the facets ``placed`` in a shelling: for
+    every placed F_i some placed F_l has F_i & f inside F_l & f and f - F_l
+    a single vertex v, that is, some such v lies in f - F_i."""
+    singles = 0
+    for g in placed:
+        diff = f & ~g
+        if diff.bit_count() == 1:
+            singles |= diff
+    for g in placed:
+        if not singles & ~g:
+            return False
+    return True
+
+
 def is_shelling(facets_in_order: list[int] | tuple[int, ...]) -> bool:
     """Definitional check of a candidate shelling order (pairwise, no search)."""
-    for j in range(1, len(facets_in_order)):
-        fj = facets_in_order[j]
-        singles = 0
-        for l in range(j):
-            diff = fj & ~facets_in_order[l]
-            if diff.bit_count() == 1:
-                singles |= diff
-        for i in range(j):
-            if not singles & ~facets_in_order[i]:
-                return False
+    placed: list[int] = []
+    for f in facets_in_order:
+        if not _may_follow(f, placed):
+            return False
+        placed.append(f)
     return True
 
 
@@ -242,12 +252,7 @@ def find_shelling(
         for idx, f in enumerate(facets):
             if idx in placed:
                 continue
-            singles = 0
-            for l in order:
-                diff = f & ~l
-                if diff.bit_count() == 1:
-                    singles |= diff
-            if all(singles & ~g for g in order):
+            if _may_follow(f, order):
                 result = extend(order + [f], placed | {idx})
                 if result is not None:
                     return result

@@ -126,18 +126,30 @@ def apex_order(faces):
     return sorted(vertices, key=lambda v: (-len(closed_star(faces, v)), v))
 
 
-def composition_is_zero(chain):
-    """Whether d∘d = 0 in a ``ChainComplex``, symbolically over the integers
-    (hence over any field)."""
-    for g in range(2, len(chain.sizes)):
-        lower = chain.boundaries[g - 1]
-        for col in chain.boundaries[g]:
+def composition_is_zero(sizes, boundaries):
+    """Whether d∘d = 0 in a chain complex given as ``(sizes, boundaries)``,
+    symbolically over the integers (hence over any field)."""
+    for g in range(2, len(sizes)):
+        lower = boundaries[g - 1]
+        for col in boundaries[g]:
             acc = {}
             for mid, c1 in col:
                 for row, c2 in lower[mid]:
                     acc[row] = acc.get(row, 0) + c1 * c2
             if any(acc.values()):
                 return False
+    return True
+
+
+def shells_by_definition(order):
+    """Whether the facets in ``order`` are a shelling (Bjorner and Wachs,
+    nonpure): for each facet F after the first, the faces it shares with the
+    earlier facets form a complex whose maximal faces all have size |F| - 1."""
+    for j, f in enumerate(order):
+        shared = {f & g for g in order[:j]}
+        maximal = [a for a in shared if not any(a != b and a & b == a for b in shared)]
+        if any(a.bit_count() != f.bit_count() - 1 for a in maximal):
+            return False
     return True
 
 

@@ -17,7 +17,7 @@ from pathideal.sweep import (
     CSV_COLUMNS,
     iter_param_grid,
     open_problem_sweep,
-    report_to_csv,
+    records_to_csv,
     report_to_json,
     run_sweep,
 )
@@ -130,6 +130,23 @@ def test_verify_small_sweep_exit_zero(capsys):
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == CSV_COLUMNS
     assert all(len(r) == len(CSV_COLUMNS) for r in rows[1:])
+
+
+@pytest.mark.parametrize("flag, value, key", [
+    ("--l", "2", "l"), ("--k", "3", "k"), ("--k-max", "2", "k"),
+])
+def test_verify_filters_select_their_records(capsys, flag, value, key):
+    grid = ["verify", "--m-max", "5", "--n-max", "13", "--json"]
+    _, out, _ = run(capsys, *grid)
+    unfiltered = json.loads(out)["records"]
+    code, out, _ = run(capsys, *grid, flag, value)
+    assert code == 0
+    records = json.loads(out)["records"]
+    if flag == "--k-max":
+        expected = [r for r in unfiltered if r[key] <= int(value)]
+    else:
+        expected = [r for r in unfiltered if r[key] == int(value)]
+    assert records and records == expected
 
 
 def test_verify_json_byte_identical(capsys):
@@ -285,9 +302,27 @@ def test_invalid_arguments_exit_two(capsys):
     assert code == 2 and "error" in err
     code, _, err = run(capsys, "betti", "--ideal", "n=2; (x1*x1)")  # not squarefree
     assert code == 2 and "repeats a variable" in err
-    with pytest.raises(SystemExit) as info:
-        main(["gen"])  # no ideal selected
-    assert info.value.code == 2
+    code, _, err = run(capsys, "gen")  # no ideal selected
+    assert code == 2 and err == "error: one of --ideal or --m is required\n"
+    done = subprocess.run(
+        [sys.executable, "-m", "pathideal.cli", "gen"],
+        capture_output=True, text=True, env=source_env(), check=False,
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: one of --ideal or --m is required\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gen"], "one of --ideal or --m is required"),
+    (["betti", "--m", "3"], "give --l and --k for the general family, or --n for all paths"),
+    (["formula", "--m", "3"], "give --m --l --k, or --m --n for all paths"),
+    (["split", "--ideal", "n=3; (x1*x2, x2*x3)"], "--var is required with --ideal"),
+    (["split", "--m", "3"], "give --m --l --k (k >= 2), or --ideal with --var"),
+    (["split", "--m", "3", "--l", "1", "--k", "1"], "splitting at the last generator needs k >= 2"),
+    (["cert"], "give --m --l --k or --clutter"),
+])
+def test_missing_or_inconsistent_selection_exits_two(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 def test_malformed_field_exits_two_with_the_expected_forms(capsys):
@@ -344,7 +379,8 @@ def test_sweep_reports_are_deterministic_and_clean():
     report1 = run_sweep(2, 3, 8, GF2, "auto")
     report2 = run_sweep(2, 3, 8, GF2, "auto")
     assert report_to_json(report1) == report_to_json(report2)
-    assert report_to_csv(report1) == report_to_csv(report2)
+    assert records_to_csv(report1["records"], CSV_COLUMNS) == records_to_csv(
+        report2["records"], CSV_COLUMNS)
     assert report1["summary"]["mismatches"] == 0
     assert all(r["millis"] == 0 for r in report1["records"])
 

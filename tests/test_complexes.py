@@ -234,8 +234,8 @@ def test_reduced_homology_matches_dense_oracle(family):
 def test_from_faces_keeps_maximal_only():
     got = cx(3, [1, 2], [1], [2, 3], [2])
     assert got.facets == cx(3, [1, 2], [2, 3]).facets
-    assert got.has_face(0b001)
-    assert not got.has_face(0b101)
+    assert 0b001 in got.faces()
+    assert 0b101 not in got.faces()
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from pathideal.monomials import ideal_from_text
+from pathideal.monomials import Monomial, ideal_from_text, minimalize
 from pathideal.pathfamily import (
     Branch,
     PathParams,
@@ -65,11 +65,11 @@ def test_make_full_path_ideal_examples():
 
 
 def test_full_path_matches_param_family():
+    # the family member l = m-1 is the ideal of all n-m+1 windows of length m
     for m in range(2, 7):
         for n in range(m, 15):
-            assert make_full_path_ideal(m, n) == make_path_ideal(
-                PathParams(m, m - 1, n - m + 1)
-            )
+            windows = [Monomial(((1 << m) - 1) << i) for i in range(n - m + 1)]
+            assert make_full_path_ideal(m, n) == minimalize(n, windows)
 
 
 def test_bad_params_rejected():
@@ -83,15 +83,6 @@ def test_bad_params_rejected():
         PathParams(3, 1, 0)
     with pytest.raises(ValueError):
         make_full_path_ideal(5, 4)
-
-
-def test_params_text_and_json():
-    params = PathParams.from_text("m=3,l=1,k=2")
-    assert params == PathParams(3, 1, 2)
-    assert params.n == 5
-    assert PathParams.from_json('{"m":3,"l":1,"k":2,"n":5}') == params
-    with pytest.raises(ValueError):
-        PathParams.from_json('{"m":3,"l":1,"k":2,"n":6}')
 
 
 # ---------------------------------------------------------------------------
@@ -185,15 +176,16 @@ def test_formula_full_path_examples():
 
 
 def test_full_path_formula_agrees_with_family_at_max_overlap():
-    for m in range(2, 7):
-        for n in range(m, 21):
-            family = formula_result(PathParams(m, m - 1, n - m + 1))
+    # the classical all-paths closed forms, from n = p(m+1) + d with 0 <= d <= m
+    for m in range(2, 14):
+        for n in range(m, 260):
+            p, d = divmod(n, m + 1)
+            pd = 2 * p - 1 if d != m else 2 * p
+            reg = p * (m - 1) + (1 if d != m else m)
+            depth = n + 2 - -(-(n + 1) // (m + 1)) - (n + 1) // (m + 1)
             full = formula_full_path(m, n)
-            assert (family.pd, family.reg, family.depth_I) == (
-                full.pd,
-                full.reg,
-                full.depth_I,
-            )
+            assert (full.pd, full.reg, full.depth_I, full.depth_RI) == (pd, reg, depth, depth - 1)
+            assert full == formula_result(PathParams(m, m - 1, n - m + 1))
 
 
 def test_depth_conventions_differ_by_one():

@@ -36,6 +36,7 @@ from oracles import (
     columns_sent,
     homology_dims,
     minors,
+    shells_by_definition,
     stanley_reisner_complex,
 )
 
@@ -259,6 +260,25 @@ def test_find_shelling_returns_the_canonical_order_when_it_shells(cx):
         assert order == tuple(canonical)
     elif order is not None:
         assert is_shelling(order) and sorted(order) == sorted(cx.facets)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(random_complexes(), st.randoms(use_true_random=False))
+def test_shelling_search_and_check_agree_with_the_definition(cx, rng):
+    # the check and the search share one test of whether a facet may follow
+    # the ones placed, so both are held against the definition here
+    canonical = sorted(cx.facets, key=lambda f: (-f.bit_count(), tuple(iter_bits(f))))
+    shuffled = list(cx.facets)
+    rng.shuffle(shuffled)
+    for order in (canonical, shuffled):
+        assert is_shelling(order) == shells_by_definition(order), order
+    found = find_shelling(cx)
+    assert (found == tuple(canonical)) == is_shelling(canonical)
+    if found is not None:
+        assert is_shelling(found) and shells_by_definition(found)
+        assert sorted(found) == sorted(cx.facets)
+    elif len(cx.facets) <= 5:
+        assert not any(shells_by_definition(p) for p in itertools.permutations(cx.facets))
 
 
 # ---------------------------------------------------------------------------
