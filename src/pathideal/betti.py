@@ -51,7 +51,7 @@ from typing import Iterable, Mapping, Optional
 from .caps import STRAND_CAP_CELLS, SUBSET_CAP_N, CapExceeded
 from .complexes import FaceIndex
 from .fields import GF2, FieldSpec, rank_sparse
-from .monomials import MonomialIdeal, iter_bits
+from .monomials import MonomialIdeal, _is_run, iter_bits
 
 
 class BettiTable:
@@ -499,10 +499,9 @@ def _intervals(ideal: MonomialIdeal) -> Optional[tuple[Interval, ...]]:
     None when some generator is not a run of consecutive variables."""
     out = []
     for g in ideal.gen_masks():
-        low = g & -g
-        if not g or g & (g + low):
+        if not _is_run(g):
             return None
-        start = low.bit_length()
+        start = (g & -g).bit_length()
         out.append((start, start + g.bit_count() - 1))
     return tuple(sorted(out))
 
@@ -526,12 +525,13 @@ class _IntervalMemo:
     One instance serves every call and every field: a table is a function
     of its key alone, so sharing changes no result, and a sweep over k
     reuses the tables of the shorter prefixes.  It is emptied before a call
-    once its tables hold more than ``limit`` entries in total (an entry
+    once its tables hold more than ``LIMIT`` entries in total (an entry
     takes about 100 bytes).
     """
 
-    def __init__(self, limit: int) -> None:
-        self.limit = limit
+    LIMIT = 1 << 19
+
+    def __init__(self) -> None:
         self.clear()
 
     def clear(self) -> None:
@@ -541,7 +541,7 @@ class _IntervalMemo:
     def table(self, key: tuple[Interval, ...]) -> dict[tuple[int, int], int]:
         """The entries of the table of ``key`` by the splitting recursion,
         with an explicit stack so that the depth is not bounded by k."""
-        if self.entries > self.limit:
+        if self.entries > self.LIMIT:
             self.clear()
         tables = self.tables
         stack = [key]
@@ -567,7 +567,7 @@ class _IntervalMemo:
         return tables[key]
 
 
-_INTERVAL_MEMO = _IntervalMemo(limit=1 << 19)
+_INTERVAL_MEMO = _IntervalMemo()
 
 
 def betti_interval(ideal: MonomialIdeal) -> BettiTable:

@@ -34,7 +34,7 @@ from .pathfamily import (
     make_full_path_ideal,
     make_path_ideal,
 )
-from .splitting import fht_condition, is_betti_splitting, splitting_invariant_bounds
+from .splitting import fht_condition, splitting_invariant_bounds
 from .sweep import (
     CSV_COLUMNS,
     OPEN_PROBLEM_COLUMNS,
@@ -208,9 +208,7 @@ def cmd_split(args) -> int:
         ideal = make_path_ideal(params)
         var = params.n if args.var is None else args.var
     fht = fht_condition(ideal, var, field)
-    case = fht.case if fht.case is not None else is_betti_splitting(
-        ideal, fht.J, fht.K, field
-    )
+    case = fht.case
     ok_pd, ok_reg = splitting_invariant_bounds(case) if case.verdict else (False, False)
     payload = {
         "ideal": ideal_to_text(ideal),

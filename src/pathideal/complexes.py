@@ -33,7 +33,7 @@ from typing import Iterable, Optional
 
 from .caps import SUBSET_CAP_N, CapExceeded
 from .fields import FieldSpec, reducer
-from .monomials import _canonical_sorted, _in_canonical_order, _minimal_masks, iter_bits
+from .monomials import _canonical_sorted, _check_canonical, _family_to_text, _minimal_masks, iter_bits
 
 
 @dataclass(frozen=True)
@@ -48,13 +48,9 @@ class SimplicialComplex:
     facets: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        facets = self.facets
-        if not _in_canonical_order(facets) or len(set(facets)) != len(facets):
-            raise ValueError("facets not canonically sorted; use from_faces()")
-        if len(_minimal_masks(self.facets)) != len(self.facets):
-            raise ValueError("facets are not an antichain; use from_faces()")
         if any(a >> self.n for a in self.facets):
             raise ValueError("facet does not fit vertex count")
+        _check_canonical(self.facets, "facets", "from_faces")
 
     @classmethod
     def from_faces(cls, n: int, faces: Iterable[int]) -> "SimplicialComplex":
@@ -98,8 +94,7 @@ class SimplicialComplex:
         return out
 
     def __str__(self) -> str:
-        body = ",".join("{" + ",".join(str(i) for i in iter_bits(f)) + "}" for f in self.facets)
-        return f"n={self.n}; {body}"
+        return _family_to_text(self.n, self.facets)
 
 
 # _BIT_CHARS[b]: translates each byte to the digit "0" or "1" of its bit b,

@@ -71,6 +71,24 @@ def _minimal_masks(masks: Iterable[int]) -> list[int]:
     return kept
 
 
+def _canonical_antichain(masks: Iterable[int]) -> tuple[int, ...]:
+    """The minimal masks, each once, canonically sorted: a set family's normal form."""
+    return tuple(_canonical_sorted(_minimal_masks(masks)))
+
+
+def _check_canonical(masks: Sequence[int], noun: str, fixer: str) -> None:
+    """Raise unless ``masks`` is in the normal form ``_canonical_antichain`` gives."""
+    if not _in_canonical_order(masks) or len(set(masks)) != len(masks):
+        raise ValueError(f"{noun} not canonically sorted; use {fixer}()")
+    if len(_minimal_masks(masks)) != len(masks):
+        raise ValueError(f"{noun} are not an antichain; use {fixer}()")
+
+
+def _is_run(mask: int) -> bool:
+    """True iff ``mask`` is one nonzero run of bits: adding its lowest bit leaves none set."""
+    return mask != 0 and mask & (mask + (mask & -mask)) == 0
+
+
 @dataclass(frozen=True)
 class Monomial:
     """A squarefree monomial as a bitmask of 1-based variable indices."""
@@ -133,13 +151,7 @@ class MonomialIdeal:
         for g in self.gens:
             if not g.fits(self.n):
                 raise ValueError(f"generator {g} does not fit ambient size {self.n}")
-        masks = [g.mask for g in self.gens]
-        if not _in_canonical_order(masks):
-            raise ValueError("generators not in canonical order; use minimalize()")
-        if any(a == b for a, b in zip(masks, masks[1:])):
-            raise ValueError("duplicate generators; use minimalize()")
-        if len(_minimal_masks(masks)) != len(masks):
-            raise ValueError("generators are not an antichain; use minimalize()")
+        _check_canonical(self.gen_masks(), "generators", "minimalize")
 
     @property
     def is_zero(self) -> bool:
@@ -170,9 +182,6 @@ class MonomialIdeal:
             hist[g.degree] = hist.get(g.degree, 0) + 1
         return hist
 
-    def contains(self, m: Monomial) -> bool:
-        return contains(self, m)
-
     def __str__(self) -> str:
         return ideal_to_text(self)
 
@@ -194,7 +203,7 @@ def minimalize(n: int, raw: Iterable[Monomial]) -> MonomialIdeal:
         g = min(bad, key=lambda g: g.degree)
         raise ValueError(f"generator {g} does not fit ambient size {n}")
     by_mask = {g.mask: g for g in monomials}
-    kept = _canonical_sorted(_minimal_masks(by_mask))
+    kept = _canonical_antichain(by_mask)
     return MonomialIdeal(n, tuple(by_mask[m] for m in kept))
 
 
@@ -223,7 +232,8 @@ def ideal_intersect(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
 
 
 def ideal_product_disjoint(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
-    """Product of ideals living in disjoint sets of variables.
+    """Product of ideals living in disjoint sets of variables, where each lcm
+    of generators is their product.
 
     Rejects overlapping supports: the product would not be squarefree.
     """
@@ -231,7 +241,7 @@ def ideal_product_disjoint(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     if a.support & b.support:
         overlap = tuple(iter_bits(a.support & b.support))
         raise ValueError(f"overlapping support {overlap}: product would not be squarefree")
-    return minimalize(a.n, (g.lcm(h) for g in a.gens for h in b.gens))
+    return ideal_intersect(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +285,12 @@ def ideal_to_text(ideal: MonomialIdeal) -> str:
     else:
         body = ", ".join(monomial_to_text(g) for g in ideal.gens)
     return f"n={ideal.n}; ({body})"
+
+
+def _family_to_text(n: int, masks: Iterable[int]) -> str:
+    """``n=N; {1,2},{3}``: the text of a clutter's edges or a complex's facets."""
+    body = ",".join("{" + ",".join(map(str, iter_bits(m))) + "}" for m in masks)
+    return f"n={n}; {body}"
 
 
 def ideal_from_text(text: str) -> MonomialIdeal:

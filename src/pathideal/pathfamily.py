@@ -61,10 +61,6 @@ class PathParams:
         """Ambient variable count k(m-l)+l."""
         return self.k * (self.m - self.l) + self.l
 
-    @property
-    def step(self) -> int:
-        return self.m - self.l
-
     def __str__(self) -> str:
         return f"m={self.m},l={self.l},k={self.k}"
 
@@ -133,33 +129,30 @@ def make_full_path_ideal(m: int, n: int) -> MonomialIdeal:
     return make_path_ideal(PathParams(m, m - 1, n - m + 1))
 
 
-def _require_decomposition(regime: Regime) -> None:
-    if regime.p is None or regime.d is None:
-        raise RuntimeError(
-            f"large-overlap regime without its decomposition n = p*period + d: {regime}"
-        )
-
-
+# formula_pd and formula_reg read p and d unchecked in the large-overlap branches:
+# classify fills both there, and a None would raise TypeError anyway.
 def formula_pd(params: PathParams) -> int:
     """Closed-form projective dimension of the ideal."""
     regime = classify(params)
     if regime.branch is Branch.SMALL_OVERLAP:
         return params.k - 1
-    _require_decomposition(regime)
     return 2 * regime.p - 1 if regime.d != params.m else 2 * regime.p
+
+
+def _small_overlap_reg(params: PathParams) -> int:
+    """The small-overlap regularity (k-1)(m-l-1)+m, at any (m, l, k)."""
+    return (params.k - 1) * (params.m - params.l - 1) + params.m
 
 
 def formula_reg(params: PathParams) -> Optional[int]:
     """Closed-form regularity, or None in the offset-step regime."""
-    m, l, k = params.m, params.l, params.k
     regime = classify(params)
     if regime.branch is Branch.SMALL_OVERLAP:
-        return (k - 1) * (m - l - 1) + m
+        return _small_overlap_reg(params)
     if regime.branch is Branch.OFFSET_STEP:
         return None
-    _require_decomposition(regime)
-    base = regime.p * (2 * m - l - 2)
-    return base + 1 if regime.d != m else base + m
+    base = regime.p * (2 * params.m - params.l - 2)
+    return base + 1 if regime.d != params.m else base + params.m
 
 
 def formula_depth(params: PathParams) -> int:

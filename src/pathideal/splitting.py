@@ -13,7 +13,7 @@ a constant; all of these are checked here against computed tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .betti import BettiTable, betti_table, invariants_of
 from .fields import GF2, FieldSpec
@@ -43,13 +43,13 @@ class SplitCase:
 @dataclass(frozen=True)
 class FhtResult:
     """The fixed-variable partition, whether the linearity condition applies,
-    and (when it does) the verified split case."""
+    and the checked split case, which is a splitting whenever it applies."""
 
     var: int
     J: MonomialIdeal
     K: MonomialIdeal
     applies: bool
-    case: Optional[SplitCase]
+    case: SplitCase
 
 
 @dataclass(frozen=True)
@@ -68,15 +68,18 @@ class DisjointReport:
         return self.ok_pd_sum and self.ok_reg_sum and self.ok_reg_product
 
 
+def _is_linear(ideal: MonomialIdeal, table: Callable[[], BettiTable]) -> bool:
+    """True iff all generators share one degree d and the regularity of
+    ``table()``, the ideal's table, equals d; mixed degrees call no table."""
+    degrees = ideal.degree_histogram()
+    return len(degrees) == 1 and invariants_of(table()).reg in degrees
+
+
 def has_linear_resolution(ideal: MonomialIdeal, field: FieldSpec = GF2) -> bool:
     """True iff all generators share one degree d and the regularity equals d."""
     if not ideal.is_proper_nonzero:
         raise ValueError("linear resolution is only defined for proper nonzero ideals")
-    degrees = {g.degree for g in ideal.gens}
-    if len(degrees) != 1:
-        return False
-    d = degrees.pop()
-    return invariants_of(betti_table(ideal, field)).reg == d
+    return _is_linear(ideal, lambda: betti_table(ideal, field))
 
 
 def is_betti_splitting(
@@ -109,9 +112,9 @@ def is_betti_splitting(
 def fht_condition(I: MonomialIdeal, var: int, field: FieldSpec = GF2) -> FhtResult:
     """Partition at a variable: J takes every generator divisible by it.
 
-    ``applies`` is true when J has a linear resolution; in that case the
-    partition is necessarily a Betti splitting, and the returned case
-    carries the verified identity.
+    ``applies`` is true when J has a linear resolution, read off the case's
+    table of J; then the partition is necessarily a Betti splitting.  The
+    case, with its four tables, is computed and checked in either event.
     """
     if not 1 <= var <= I.n:
         raise ValueError(f"variable index {var} outside [1, {I.n}]")
@@ -122,8 +125,8 @@ def fht_condition(I: MonomialIdeal, var: int, field: FieldSpec = GF2) -> FhtResu
         raise ValueError(f"degenerate partition at x{var}: all or none of the generators divisible")
     J = MonomialIdeal(I.n, div)
     K = MonomialIdeal(I.n, rest)
-    applies = has_linear_resolution(J, field)
-    case = is_betti_splitting(I, J, K, field) if applies else None
+    case = is_betti_splitting(I, J, K, field)
+    applies = _is_linear(J, lambda: case.table_J)
     return FhtResult(var=var, J=J, K=K, applies=applies, case=case)
 
 

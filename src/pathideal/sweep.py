@@ -29,6 +29,7 @@ from .monomials import MonomialIdeal, ideal_to_text
 from .pathfamily import (
     Branch,
     PathParams,
+    _small_overlap_reg,
     classify,
     classify_branch,
     formula_result,
@@ -142,7 +143,6 @@ def run_sweep(
     cap_cells: int = STRAND_CAP_CELLS,
     jobs: int = 1,
     timing: bool = False,
-    log=None,
 ) -> dict:
     """Sweep the grid and assemble a deterministic report dict."""
     grid = list(iter_param_grid(m_min, m_max, n_max, l_fixed, k_fixed, k_max))
@@ -162,14 +162,9 @@ def run_sweep(
     else:
         records = list(map(evaluate, grid))
     records.sort(key=lambda r: (r["m"], r["l"], r["k"]))
-    log = log if log is not None else sys.stderr
-    for record in records:
-        if record["status"] == "skipped":
-            print(
-                f"skipped m={record['m']},l={record['l']},k={record['k']}: "
-                f"{record['reason']}",
-                file=log,
-            )
+    for r in records:
+        if r["status"] == "skipped":
+            print(f"skipped m={r['m']},l={r['l']},k={r['k']}: {r['reason']}", file=sys.stderr)
     mismatches = [r for r in records if record_is_mismatch(r)]
     summary = {
         "instances": len(records),
@@ -192,7 +187,6 @@ def open_problem_sweep(
     method: str = "auto",
     cap_n: int = SUBSET_CAP_N,
     cap_cells: int = STRAND_CAP_CELLS,
-    log=None,
 ) -> list[dict]:
     """Oracle regularity for every offset-step instance with n <= n_max.
 
@@ -200,16 +194,15 @@ def open_problem_sweep(
     oracle value the record carries the small-overlap formula evaluated at
     the same parameters and whether the two coincide, as observational data.
     An instance beyond a cap is recorded with ``status`` "skipped", its
-    ``reason`` and no oracle values, and reported on ``log``.
+    ``reason`` and no oracle values, and reported on stderr.
     """
-    log = log if log is not None else sys.stderr
     records = []
     for params in iter_param_grid(2, n_max, n_max):
         if classify_branch(params.m, params.l) is not Branch.OFFSET_STEP:
             continue
         regime = classify(params)
         ideal, table, reason = _ideal_and_table(params, field, method, cap_n, cap_cells)
-        small_overlap_value = (params.k - 1) * (params.m - params.l - 1) + params.m
+        small_overlap_value = _small_overlap_reg(params)
         record = {
             "m": params.m, "l": params.l, "k": params.k, "n": params.n,
             "s": regime.s, "p": regime.p, "d": regime.d,
@@ -220,7 +213,7 @@ def open_problem_sweep(
         }
         if table is None:
             record.update(status="skipped", reason=reason)
-            print(f"skipped {params}: {reason}", file=log)
+            print(f"skipped {params}: {reason}", file=sys.stderr)
         else:
             inv = invariants_of(table)
             record.update(

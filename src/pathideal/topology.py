@@ -50,7 +50,10 @@ from .caps import (
 )
 from .complexes import FaceIndex, SimplicialComplex
 from .fields import FieldSpec
-from .monomials import MonomialIdeal, _canonical_sorted, _in_canonical_order, _minimal_masks, iter_bits
+from .monomials import (
+    MonomialIdeal, _canonical_antichain, _canonical_sorted, _check_canonical, _family_to_text,
+    _is_run, iter_bits, monomial_from_text,
+)
 
 
 @dataclass(frozen=True)
@@ -61,17 +64,13 @@ class Clutter:
     edges: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        edges = self.edges
-        if not _in_canonical_order(edges) or len(set(edges)) != len(edges):
-            raise ValueError("edges not canonically sorted; use from_edges()")
         if any(a == 0 or a >> self.n for a in self.edges):
             raise ValueError("edge empty or outside the vertex set")
-        if len(_minimal_masks(self.edges)) != len(self.edges):
-            raise ValueError("edges are not an antichain; use from_edges()")
+        _check_canonical(self.edges, "edges", "from_edges")
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[int]) -> "Clutter":
-        return cls(n, _canonical_edges(edges))
+        return cls(n, _canonical_antichain(edges))
 
     @property
     def support(self) -> int:
@@ -81,27 +80,16 @@ class Clutter:
         return mask
 
     def __str__(self) -> str:
-        body = ",".join("{" + ",".join(str(i) for i in iter_bits(e)) + "}" for e in self.edges)
-        return f"n={self.n}; {body}"
-
-
-def _canonical_edges(edges: Iterable[int]) -> tuple[int, ...]:
-    """The inclusion-minimal edges, canonically sorted: a valid ``Clutter.edges``."""
-    return tuple(_canonical_sorted(_minimal_masks(edges)))
+        return _family_to_text(self.n, self.edges)
 
 
 def clutter_from_text(text: str) -> Clutter:
+    """Read ``n=N; {1,2},{3}``, each edge as the ``{...}`` form of a monomial."""
     match = re.fullmatch(r"\s*n\s*=\s*(\d+)\s*;\s*(.*)", text, re.DOTALL)
     if not match:
         raise ValueError(f"cannot parse clutter text {text!r}")
-    n = int(match.group(1))
-    edges = []
-    for part in re.findall(r"\{([^}]*)\}", match.group(2)):
-        mask = 0
-        for t in part.split(","):
-            mask |= 1 << (int(t) - 1)
-        edges.append(mask)
-    return Clutter.from_edges(n, edges)
+    edges = [monomial_from_text(part).mask for part in re.findall(r"\{[^}]*\}", match.group(2))]
+    return Clutter.from_edges(int(match.group(1)), edges)
 
 
 def clutter_of(ideal: MonomialIdeal) -> Clutter:
@@ -290,7 +278,7 @@ def apply_assignment(clutter: Clutter, zeros: int, ones: int) -> Optional[Clutte
         if shrunk == 0:
             return None
         edges.append(shrunk)
-    return Clutter(clutter.n, _canonical_edges(edges)) if edges else None
+    return Clutter.from_edges(clutter.n, edges) if edges else None
 
 
 def _free_vertices(edges: Iterable[int]) -> int:
@@ -462,7 +450,7 @@ def is_interval_clutter(clutter: Clutter) -> bool:
     misses it.  So s lies in exactly one edge.  The clutter itself is the
     minor with Z and O empty, so it and every minor have a free vertex.
     """
-    return all(e & (e + (e & -e)) == 0 for e in clutter.edges)
+    return all(map(_is_run, clutter.edges))
 
 
 # ---------------------------------------------------------------------------

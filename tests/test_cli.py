@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from pathideal import sweep
+from pathideal import cli, splitting, sweep
 from pathideal.cli import main
 from pathideal.fields import GF2
 from pathideal.sweep import (
@@ -200,6 +200,27 @@ def test_split_failure_exit_code(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv, verdict",
+    [
+        (["--m", "3", "--l", "1", "--k", "3"], True),
+        (["--ideal", "n=5; (x1*x2*x4, x2*x3, x3*x4*x5)", "--var", "4"], False),
+    ],
+)
+def test_split_computes_four_tables(monkeypatch, capsys, argv, verdict):
+    """``fht_condition`` returns the checked case whether or not the condition
+    applies, and one ``split`` computes each of the four tables once."""
+    results, tables = [], []
+    fht, table = cli.fht_condition, splitting.betti_table
+    monkeypatch.setattr(cli, "fht_condition", lambda *a: results.append(fht(*a)) or results[-1])
+    monkeypatch.setattr(splitting, "betti_table", lambda *a: tables.append(a[0]) or table(*a))
+    code, out, _ = run(capsys, "split", *argv, "--json")
+    (result,) = results
+    assert result.applies is verdict and result.case.verdict is verdict
+    assert json.loads(out)["verdict"] is verdict and code == (0 if verdict else 1)
+    assert len(tables) == 4
+
+
 def test_cert_command(capsys):
     code, out, _ = run(capsys, "cert", "--m", "3", "--l", "1", "--k", "2", "--json")
     assert code == 0
@@ -254,6 +275,41 @@ def test_cert_triangle_fails(capsys):
     payload = json.loads(out)
     assert payload["counterexample_minor"] == "n=5; {1,2},{1,3},{2,3}"
     assert payload["counterexample_assignment"] == {"zeros": [4], "ones": []}
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("n=3; {0,1}", "variable index 0 out of range (indices are 1-based)"),
+        ("n=3; {}", "edge empty or outside the vertex set"),
+        ("n=3; {1,1},{2,3}", "monomial '{1,1}' repeats a variable (monomials are squarefree)"),
+    ],
+)
+def test_malformed_clutter_exits_two(capsys, text, message):
+    """Each ``{...}`` of ``--clutter`` is read as the set form of ``--ideal``."""
+    assert run(capsys, "cert", "--clutter", text) == (2, "", f"error: {message}\n")
+
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "golden, code, argv",
+    [
+        ("cert_clutter_n4.txt", 1, ["cert", "--clutter", "n=4; {1,2},{2,3},{1,3},{3,4}"]),
+        ("cert_clutter_n4.json", 1, ["cert", "--clutter", "n=4; {1,2},{2,3},{1,3},{3,4}", "--json"]),
+        ("cert_path_m3_l1_k2.txt", 0, ["cert", "--m", "3", "--l", "1", "--k", "2"]),
+        ("split_path_m3_l1_k3.json", 0, ["split", "--m", "3", "--l", "1", "--k", "3", "--json"]),
+        (
+            "split_ideal_n5_var4.json", 1,
+            ["split", "--ideal", "n=5; (x1*x2*x4, x2*x3, x3*x4*x5)", "--var", "4", "--json"],
+        ),
+    ],
+)
+def test_report_matches_its_golden_byte_for_byte(capsys, golden, code, argv):
+    got, out, _ = run(capsys, *argv)
+    assert got == code
+    assert out.encode() == (GOLDEN_DIR / golden).read_bytes()
 
 
 def test_cert_counterexample_survives_optimized_mode():
@@ -392,11 +448,10 @@ def test_sweep_parallel_matches_serial():
 
 
 def test_sweep_skips_over_cap_instances(capsys):
-    log = io.StringIO()
-    report = run_sweep(2, 2, 8, GF2, "taylor", cap_cells=8, log=log)
+    report = run_sweep(2, 2, 8, GF2, "taylor", cap_cells=8)
     skipped = [r for r in report["records"] if r["status"] == "skipped"]
     assert skipped and all("exceeds cap" in r["reason"] for r in skipped)
-    assert "skipped" in log.getvalue()
+    assert "skipped" in capsys.readouterr().err
     assert report["summary"]["skipped"] == len(skipped)
     # skipped instances are not mismatches
     assert report["summary"]["mismatches"] == 0
@@ -413,34 +468,33 @@ def test_record_mismatch_drives_exit_code():
     assert not record_is_mismatch(skipped)
 
 
-def test_oversized_ambient_is_skipped_not_fatal():
-    report = run_sweep(2, 2, 40, GF2, "taylor", k_fixed=39, log=io.StringIO())
+def test_oversized_ambient_is_skipped_not_fatal(capsys):
+    report = run_sweep(2, 2, 40, GF2, "taylor", k_fixed=39)
     (record,) = report["records"]
     assert record["status"] == "skipped"
     assert record["reason"] == "k=39: cell count exceeds cap 262144"
     assert report["summary"]["mismatches"] == 0
 
 
-def test_open_problem_records_cap_overflow_as_skipped():
-    log = io.StringIO()
+def test_open_problem_records_cap_overflow_as_skipped(capsys):
     # k <= 2 generators give at most 4 cells, and k >= 3 at least 6: the
     # empty set, the singletons and the pairs holding the first generator
-    capped = open_problem_sweep(n_max=11, method="taylor", cap_cells=4, log=log)
+    capped = open_problem_sweep(n_max=11, method="taylor", cap_cells=4)
     full = open_problem_sweep(n_max=11)
     assert [(r["m"], r["l"], r["k"]) for r in capped] == [(r["m"], r["l"], r["k"]) for r in full]
     skipped = [r for r in capped if r.get("status") == "skipped"]
     assert skipped and all(r["k"] > 2 and "exceeds cap" in r["reason"] for r in skipped)
     assert all(r["reg_oracle"] is None for r in skipped)
-    assert "skipped" in log.getvalue()
+    assert "skipped" in capsys.readouterr().err
     # the records that ran are the same as without the cap
     assert [r for r in capped if "status" not in r] == [r for r in full if r["k"] <= 2]
 
 
-def test_open_problem_builds_each_path_ideal_once(monkeypatch):
+def test_open_problem_builds_each_path_ideal_once(monkeypatch, capsys):
     calls = []
     build = sweep.make_path_ideal
     monkeypatch.setattr(sweep, "make_path_ideal", lambda params: calls.append(params) or build(params))
-    records = open_problem_sweep(n_max=11, method="taylor", cap_cells=4, log=io.StringIO())
+    records = open_problem_sweep(n_max=11, method="taylor", cap_cells=4)
     assert any(r.get("status") == "skipped" for r in records)
     assert [(p.m, p.l, p.k) for p in calls] == [(r["m"], r["l"], r["k"]) for r in records]
 

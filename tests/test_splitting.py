@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from pathideal import splitting
 from pathideal.betti import betti_table, invariants_of
 from pathideal.fields import GF2, QQ
 from pathideal.monomials import (
@@ -43,6 +44,13 @@ def test_linear_resolution_examples():
     assert not has_linear_resolution(ideal_from_text("n=4; (x1*x2, x3*x4)"))
     with pytest.raises(ValueError):
         has_linear_resolution(MonomialIdeal(3, ()))
+
+
+def test_mixed_degrees_are_not_linear_without_a_table(monkeypatch):
+    calls = []
+    monkeypatch.setattr(splitting, "betti_table", lambda *a: calls.append(a))
+    assert not has_linear_resolution(ideal_from_text("n=4; (x1*x2, x2*x3*x4)"))
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
