@@ -14,15 +14,15 @@ still grow exponentially in n, so the enumeration keeps the subset cap.
 A shelling is first looked for in the canonical order, largest facet
 first; the capped backtracking search runs only when that order fails.
 
-The free vertex property is decided by a search over the distinct minors,
-each relabelled onto its support so that minors differing only in vertex
-names are visited once, by single-vertex steps x_v = 0 or x_v = 1.  The
-search remembers the minor each one was first reached from, so a minor
-with no free vertex is named by replaying that chain into one (zeros,
-ones) assignment of the clutter's own vertices; no 3^v assignment walk is
-run.  The number of distinct minors still grows exponentially (on the
-length-2 path: 23, 115, 559, 2,690 and 12,909 for n = 6, 9, 12, 15, 18),
-so ``MINOR_CAP_N`` stays.
+The free vertex property is decided by a search over the pieces of the
+minors: their connected components, each with its twin classes (vertices
+lying in the same edges) cut to one vertex and relabelled onto its
+support, reached by single-vertex steps x_v = 0 or x_v = 1 and a split
+into components.  The search remembers how it first reached each piece, so
+a piece with no free vertex is named by replaying that chain into one
+(zeros, ones) assignment of the clutter's own vertices; no 3^v assignment
+walk is run.  The length-2 path with k edges has k pieces, but other
+paths have exponentially many, so ``MINOR_CAP_N`` stays.
 
 Sequential Cohen-Macaulayness checks the pure skeletons of the complex at
 its facet sizes only, each through its own ``complexes.FaceIndex``, which
@@ -296,20 +296,46 @@ def has_free_vertex(clutter: Clutter) -> Optional[int]:
     return (free & -free).bit_length() if free else None
 
 
-def _squeeze(edges: list[int]) -> tuple[int, ...]:
-    """The edges relabelled onto 1..s, s the size of their union, keeping the
-    vertex order; as a sorted tuple, a key for the relabelled clutter."""
-    support = 0
+def _components(edges: list[int]) -> list[list[int]]:
+    """The edges split into connected components, each a list of edges."""
+    parts: list[tuple[int, list[int]]] = []  # (support, edges), disjoint supports
     for e in edges:
-        support |= e
-    gaps = ~support & ((1 << support.bit_length()) - 1)
-    while gaps:
-        # deleting the highest gap first leaves the lower gaps in place
-        top = gaps.bit_length() - 1
-        gaps ^= 1 << top
-        low = (1 << top) - 1
-        edges = [e & low | e >> 1 & ~low for e in edges]
-    return tuple(sorted(edges))
+        support, part, apart = e, [e], []
+        for other in parts:
+            if other[0] & e:
+                support |= other[0]
+                part += other[1]
+            else:
+                apart.append(other)
+        parts = apart + [(support, part)]
+    return [part for _, part in parts]
+
+
+def _reduced(part: list[int]) -> tuple[tuple[int, ...], list[int]]:
+    """The clutter ``part`` with each twin class (the vertices lying in
+    exactly the same edges) cut to one vertex, relabelled onto 1..s in the
+    order of the classes' lowest vertices: its sorted edge tuple, a key, and
+    for each new vertex the mask of the vertices of ``part`` it stands for."""
+    if len(part) == 1:  # the vertices of one edge are one twin class
+        return (1,), part
+    # through[v]: the edges through vertex v + 1, as bits over part's indices
+    through = [0] * max(part).bit_length()
+    for i, e in enumerate(part):
+        while e:
+            low = e & -e
+            e ^= low
+            through[low.bit_length() - 1] |= 1 << i
+    classes: dict[int, int] = {}
+    for v, edge_bits in enumerate(through):
+        if edge_bits:
+            classes[edge_bits] = classes.get(edge_bits, 0) | 1 << v
+    edges = [0] * len(part)
+    for w, edge_bits in enumerate(classes):
+        while edge_bits:
+            low = edge_bits & -edge_bits
+            edge_bits ^= low
+            edges[low.bit_length() - 1] |= 1 << w
+    return tuple(sorted(edges)), list(classes.values())
 
 
 def _single_steps(edges: tuple[int, ...]) -> Iterator[tuple[int, int, list[int]]]:
@@ -339,75 +365,95 @@ def _minor_without_free_vertex(clutter: Clutter) -> Optional[tuple[int, int]]:
     """A ``(zeros, ones)`` assignment whose minor of the clutter has no free
     vertex, or None when every minor has one.
 
-    The search visits each minor up to an order-preserving relabelling of its
-    support, once, by the single-vertex steps of ``_single_steps``.  It
-    remembers the minor each one was first reached from, so that
-    ``_assignment_reaching`` can name the first minor found without a free
-    vertex.
+    The search visits each *piece* once: a connected component of a minor,
+    cut and relabelled by ``_reduced``.  From a piece it takes every step of
+    ``_single_steps`` and splits the result into components.  It records
+    how it first reached each piece, which ``_assignment_reaching`` replays.
 
-    Proof that it visits every minor.  A minor sets the vertices Z to 0 and
-    O to 1; substitution is a ring map, so it commutes with minimalizing,
-    and setting the vertices one at a time gives the same ideal, the zero
-    or the unit ideal staying zero or unit.  A minor of a minor is a minor
-    (a vertex already set lies in no edge, so setting it again does
-    nothing), so the minors are exactly the clutters reached from the
-    clutter by single steps.  Relabelling vertices maps the minors of a
-    clutter onto those of its image and does not change whether a vertex
-    lies in exactly one edge, so it suffices to step from one relabelled
-    copy of each minor.
+    Proof that the clutter has the property iff every piece visited has a
+    free vertex.  A minor sets the vertices Z to 0 and O to 1; substitution
+    is a ring map, so it commutes with minimalizing, and setting the
+    vertices one at a time gives the same ideal, the zero or the unit ideal
+    staying zero or unit.  So the minors are the clutters reached from the
+    clutter by single steps.  Relabelling in order maps the minors of a
+    clutter onto those of its image and keeps which vertices are free.
 
+    Components.  A step on a vertex v of a component P leaves the other
+    components as they are (x_v = 1 drops no edge f outside P, as f would
+    contain an e - v inside P), so by induction on the steps every component
+    of a minor is reached from a component of the clutter by "one step, then
+    split".  Each component of a minor is a minor (set one vertex of every
+    edge of the others to 0), and a vertex is free in a minor iff it is in
+    its component.
+
+    Twins.  After a step twins stay twins, so the twin classes of a step
+    are unions of classes.  For twins u and w, x_u = 0 deletes the edges
+    through the whole class; x_u = 1 shrinks them, and they keep w, so it
+    drops no edge (f containing e - u would contain w, so e) and gives the
+    same piece, until the last member of the class is set to 1.  So every
+    step reaches, after the cut, a piece that a step on a class
+    representative reaches, and a vertex is free iff its representative is.
     """
-    start = _squeeze(list(clutter.edges))
-    reached_from: dict[tuple[int, ...], Optional[tuple[int, ...]]] = {start: None}
-    stack = [start]
+    reached_from: dict[tuple[int, ...], tuple] = {}
+    stack: list[tuple[int, ...]] = []
+
+    def reach(parent: Optional[tuple[int, ...]], bit: int, value: int, step: list[int]) -> None:
+        for index, part in enumerate(_components(step)):
+            key = _reduced(part)[0]
+            if key not in reached_from:
+                reached_from[key] = (parent, bit, value, index)
+                stack.append(key)
+
+    reach(None, 0, 0, list(clutter.edges))
     while stack:
         current = stack.pop()
         if not _free_vertices(current):
             return _assignment_reaching(clutter, reached_from, current)
-        for _, _, step in _single_steps(current):
-            key = _squeeze(step)
-            if key not in reached_from:
-                reached_from[key] = current
-                stack.append(key)
+        for bit, value, step in _single_steps(current):
+            reach(current, bit, value, step)
     return None
 
 
 def _assignment_reaching(
-    clutter: Clutter,
-    reached_from: dict[tuple[int, ...], Optional[tuple[int, ...]]],
-    minor: tuple[int, ...],
+    clutter: Clutter, reached_from: dict[tuple[int, ...], tuple], piece: tuple[int, ...]
 ) -> tuple[int, int]:
     """The ``(zeros, ones)`` assignment of the clutter's own vertices that
-    replays the chain of first reaches from the start to ``minor``.
+    replays the first reaches ``(parent, bit, value, index)`` from the
+    clutter to ``piece``: the step x_v = value from the parent piece (None
+    for the clutter itself), then the component ``index`` of the result.
 
-    Proof that ``apply_assignment`` of it is ``minor`` on the clutter's own
-    labels.  Along the chain, keep for each minor the clutter's vertex
-    behind each of its relabelled vertices.  Each link is one step x_v =
-    value on a vertex of the minor's support, which is a vertex of the
-    clutter not yet set, so it joins zeros or ones, never both; the
-    vertices the step keeps keep their labels, in order, as the
-    relabelling preserves the vertex order.  By the proof in
-    ``_minor_without_free_vertex``, setting vertices one at a time gives
-    the minor of the whole assignment, so at every link the minor of the
-    assignment built so far is, after relabelling, the minor reached.
+    Proof that its minor is ``piece`` with each vertex w replaced by own(w),
+    disjoint sets of unassigned vertices of the clutter.  At the start each
+    vertex is its own.  For x_w = 0 the lowest vertex of own(w) is set to
+    0, deleting the edges through w; for x_w = 1 all of own(w) is set to 1,
+    shrinking those edges by w.  Dropping a component sets to 0 the lowest
+    own vertex of the lowest vertex of each of its edges, deleting those
+    edges and no other.  Cutting twin classes joins their own sets.  As setting
+    vertices one at a time gives the minor of the whole assignment, this
+    holds after every link, and a vertex of the minor is free iff the
+    piece's vertex behind it is.
     """
-    chain = [minor]
-    while reached_from[chain[-1]] is not None:
-        chain.append(reached_from[chain[-1]])
-    chain.reverse()
-    # labels[i]: the clutter's own vertex, as a bit, behind bit i of the minor
-    labels = [1 << (v - 1) for v in iter_bits(clutter.support)]
+    chain = []
+    while piece is not None:
+        chain.append(reached_from[piece])
+        piece = chain[-1][0]
+    own = [1 << i for i in range(clutter.n)]
     zeros = ones = 0
-    for here, there in zip(chain, chain[1:]):
-        bit, value, step = next(s for s in _single_steps(here) if _squeeze(s[2]) == there)
-        if value:
-            ones |= labels[bit.bit_length() - 1]
-        else:
-            zeros |= labels[bit.bit_length() - 1]
-        kept = 0
-        for e in step:
-            kept |= e
-        labels = [labels[v - 1] for v in iter_bits(kept)]
+    step = list(clutter.edges)
+    for parent, bit, value, index in reversed(chain):
+        if parent is not None:
+            mask = own[bit.bit_length() - 1]
+            if value:
+                ones |= mask
+            else:
+                zeros |= mask & -mask
+            step = next(s for b, v, s in _single_steps(parent) if b == bit and v == value)
+        parts = _components(step)
+        for part in parts[:index] + parts[index + 1:]:
+            for e in part:
+                mask = own[(e & -e).bit_length() - 1]
+                zeros |= mask & -mask
+        own = [sum(own[u - 1] for u in iter_bits(g)) for g in _reduced(parts[index])[1]]
     return zeros, ones
 
 
@@ -416,8 +462,8 @@ def free_vertex_property(
 ) -> tuple[bool, Optional[tuple[tuple[int, int], Clutter]]]:
     """True iff every minor (the clutter itself included) has a free vertex.
 
-    The distinct minors are searched up to relabelling, without walking the
-    3^v assignments (see ``_minor_without_free_vertex``).  On failure the
+    The connected, twin-reduced pieces of the minors are searched, without
+    walking the 3^v assignments (see ``_minor_without_free_vertex``).  On failure the
     second item is the witness ``((zeros, ones), minor)``: the assignment
     and ``apply_assignment(clutter, zeros, ones)``, a minor with no free
     vertex, which is checked before it is returned.

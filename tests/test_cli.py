@@ -318,6 +318,8 @@ def test_cert_counterexample_survives_optimized_mode():
     for text, minor, assignment in [
         ("n=3; {1,2},{2,3},{1,3}", "n=3; {1,2},{1,3},{2,3}", "none"),
         ("n=4; {1,2},{1,3},{2,3},{3,4}", "n=4; {1,2},{1,3},{2,3}", "x4 = 0"),
+        # disconnected: the edge's component is dropped by the replay
+        ("n=5; {1,2},{2,3},{1,3},{4,5}", "n=5; {1,2},{1,3},{2,3}", "x4 = 0"),
     ]:
         done = subprocess.run(
             [sys.executable, "-O", "-m", "pathideal.cli", "cert", "--clutter", text],

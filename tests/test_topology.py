@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pathideal.fields
@@ -386,6 +386,71 @@ def test_free_vertex_property_fails_on_random_clutters():
         witness = check_free_vertex_witness(c)
         proper_minor += witness is not None and witness[1] != c
     assert proper_minor > 5
+
+
+def union_with_twins(rng):
+    """A disjoint union of 1-3 random clutters on 1-4 vertices each, 6 at
+    most, with edges of 2 or more vertices where a piece has them; then up
+    to 8 vertices in all, each new one a twin of an old one (in the same
+    edges)."""
+    edges, n = [], 0
+    for _ in range(rng.randint(1, 3)):
+        size = rng.randint(1, 4)
+        if n and n + size > 6:
+            break
+        choices = [e for e in range(1, 1 << size) if e.bit_count() >= min(2, size)]
+        edges += [rng.choice(choices) << n for _ in range(rng.randint(1, 6))]
+        n += size
+    for v in [rng.randrange(n) for _ in range(rng.randint(0, 8 - n))]:
+        edges = [e | 1 << n if e >> v & 1 else e for e in edges]
+        n += 1
+    return Clutter.from_edges(n, edges)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.randoms(use_true_random=False).map(union_with_twins))
+# a triangle beside an edge: the failing minor is one component
+@example(clutter(5, [1, 2], [2, 3], [1, 3], [4, 5]))
+# the same with vertex 1 doubled (6) and the edge's vertices twins
+@example(clutter(6, [1, 2, 6], [2, 3], [1, 3, 6], [4, 5]))
+# the triangle second, after a path
+@example(clutter(7, [1, 2], [2, 3], [4, 5], [5, 6], [4, 6], [6, 7]))
+def test_free_vertex_property_on_unions_with_twins(c):
+    check_free_vertex_witness(c)
+
+
+def test_unions_with_twins_meet_split_and_twin_failures():
+    # the property test above must meet failures whose minor keeps one of
+    # several components, and failures of clutters with twins
+    rng = random.Random(20)
+    split = twinned = 0
+    for _ in range(200):
+        c = union_with_twins(rng)
+        witness = check_free_vertex_witness(c)
+        if witness is not None:
+            pieces = topology._components(list(c.edges))
+            split += len(pieces) > 1 and len(topology._components(list(witness[1].edges))) == 1
+            twinned += len(topology._reduced(list(c.edges))[1]) < c.support.bit_count()
+    assert split > 5 and twinned > 5
+
+
+def test_free_vertex_search_is_linear_on_the_length_two_path(monkeypatch):
+    # counts the pieces the search visits, not time; the minors up to
+    # relabelling number 23, 115 and 559 at n = 6, 9 and 12
+    reduced = topology._reduced
+    keys = set()
+
+    def counting(part):
+        out = reduced(part)
+        keys.add(out[0])
+        return out
+
+    monkeypatch.setattr(topology, "_reduced", counting)
+    for k in range(2, 12):
+        keys.clear()
+        c = clutter_of(make_path_ideal(PathParams(2, 1, k)))
+        assert free_vertex_property(c) == (True, None)
+        assert len(keys) <= k + 1, (k, len(keys))
 
 
 def test_passing_free_vertex_property_walks_no_assignments(monkeypatch):
