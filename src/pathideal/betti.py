@@ -20,7 +20,7 @@ and nothing in their inner loops is shared beyond the exact column
 reducers of ``fields``.  The combinatorial route takes its boundary
 columns from ``complexes.FaceIndex``, the package's one builder of
 simplicial boundaries, which also restricts and reduces them
-(``FaceIndex.pivots``); the algebraic route builds its own strands
+(``FaceIndex.homology``); the algebraic route builds its own strands
 (``taylor_strand_complexes``) and ranks them through
 ``fields.rank_sparse``.  The interval route is polynomial and is always
 checked against them, never used as an oracle for itself.
@@ -204,12 +204,37 @@ def _off_stars(index: FaceIndex, n: int, gen_masks: Iterable[int]) -> list[int]:
     holding = index.holding + [0] * (n - index.n)
     off_star = [0] * n
     for g in gen_masks:
-        for v in iter_bits(g):
+        vertices = [u - 1 for u in iter_bits(g)]
+        for v in vertices:
             rows = every
-            for u in iter_bits(g ^ 1 << v - 1):
-                rows &= holding[u - 1]
-            off_star[v - 1] |= rows
+            for u in vertices:
+                if u != v:
+                    rows &= holding[u]
+            off_star[v] |= rows
     return off_star
+
+
+def _half_tables(
+    keep: list[int], rank: list[int], every: int, nowhere: int
+) -> tuple[list[int], list[int]]:
+    """The two tables of one half of the vertices of ``betti_hochster``.
+
+    A part x of the half is a set of its s = len(keep) vertices, bit t for
+    its vertex t.  ``inside[x]`` is the AND of ``keep[t]`` over the t
+    outside x, ``every`` for the whole half, and ``apex[x]`` the least
+    ``rank[t]`` over the t in x, ``nowhere`` for the empty part.
+
+    Both are built by doubling over the vertices, each entry by one
+    operation on an entry of the table before: on the parts of the first
+    t vertices, x without t takes inside[x] & keep[t] and apex[x], and
+    x + {t} takes inside[x] and min(apex[x], rank[t]).  So each table has
+    2^s entries.
+    """
+    inside, apex = [every], [nowhere]
+    for held, r in zip(keep, rank):
+        inside = [mask & held for mask in inside] + inside
+        apex += [a if a < r else r for a in apex]
+    return inside, apex
 
 
 def betti_hochster(
@@ -230,21 +255,34 @@ def betti_hochster(
     The faces of Delta are enumerated once, and their ``FaceIndex`` gives
     each face a row, in one numbering of all faces, and its boundary column
     in those rows, a row mask from which the signs follow, built the first
-    time ``FaceIndex.pivots`` walks the row; the columns of the rows no W
-    walks are never built.  ``FaceIndex.pivots`` restricts the columns and
-    reduces them over the field.  For a
-    subset W the columns of the faces inside W are exactly the boundary
-    matrices of Delta_W: every term of the boundary of a face inside W is a
-    face inside W, so the rows of the faces outside W are zero in the kept
-    columns.  Rank depends neither on how rows are numbered nor on zero
-    rows, so each rank of the augmented chain complex of Delta_W is the
-    rank of its kept columns.
+    time ``FaceIndex.homology`` walks the row; the columns of the rows no W
+    walks are never built.  ``FaceIndex.homology`` restricts the columns
+    and reduces them over the field.  For a subset W the columns of the
+    faces inside W are exactly the boundary matrices of Delta_W: every
+    term of the boundary of a face inside W is a face inside W, so the
+    rows of the faces outside W are zero in the kept columns.  Rank
+    depends neither on how rows are numbered nor on zero rows, so each
+    rank of the augmented chain complex of Delta_W is the rank of its kept
+    columns.
 
     Restriction.  For each vertex v one bitmask over all faces (the index's
     ``holding``) marks those that contain v.  The faces inside W are all
-    faces but those marked for a vertex outside W, one AND per outside
-    vertex over one mask, and the apex's closed star is dropped with one
-    more AND; ``FaceIndex.homology`` splits what is left by size.
+    faces but those marked for a vertex outside W, and the apex's closed
+    star is dropped with one more AND; ``FaceIndex.homology`` splits what
+    is left by size.
+
+    Half tables.  The cell mask of a W costs O(1) operations, not one AND
+    per outside vertex.  Split the n variables at h = n // 2 and write
+    W = x + (y << h), x the part of W below h and y the rest.  The faces
+    inside W are those that meet no vertex outside W: no vertex below h
+    outside x, and no vertex from h on outside y.  So their mask is
+    inside_low[x] & inside_high[y], where each table ANDs the ``holding``
+    complements of the vertices of its half outside the part
+    (``_half_tables``).  The apex of W is the vertex of W first in the
+    apex order, so its place in that order is the lesser of the least
+    places in x and in y, which two more tables hold.  Each table entry is
+    one operation on an entry built before it, and a call keeps
+    2^(n - h) + 2^h masks, 512 at n = 16.
 
     Relative to a vertex star.  The vertices of Delta (the v with {v} a
     face) are ordered once per ideal by ``FaceIndex.apexes``, largest
@@ -266,21 +304,22 @@ def betti_hochster(
 
     One reduction per relative complex.  ``FaceIndex.homology`` is a pure
     function of the index, the cell mask and the field, and W enters the
-    table only through j = |W|.  So a memo local to the call keeps, for
-    each exact cell mask reduced so far, the nonzero (g, h) of its
-    homology, and a W whose mask an earlier W had adds those pairs at
-    (j - g - 1, j) without a reduction: the table is the one that reducing
-    every W gives.  Repeats are common.  Let u be a vertex of W, not its
-    apex, that lies in no cell.  Every face of Delta_W through u is then in
-    the apex's closed star, so G + {u} in Delta_W gives G + {u} + {apex} in
+    table only through j = |W|.  So the call first counts the visited W
+    under their (cell mask, |W|), one counter per mask with a field for
+    each |W|, and then reduces each distinct mask once, adding each
+    nonzero dimension h of its homology at size g, times the count, at
+    (j - g - 1, j): the table is the one that reducing every W gives.
+    Repeats are common.  Let u be a vertex of W, not its apex, that lies
+    in no cell.  Every face of Delta_W through u is then in the apex's
+    closed star, so G + {u} in Delta_W gives G + {u} + {apex} in
     Delta_W: the link of u in Delta_W is a cone on the apex, and Delta_W is
     homotopy equivalent to Delta_{W - u}.  The masks show it directly:
     W - {u} has the same apex, and its cells are the cells of W that miss
     u, which are all of them, so the cell masks of W and W - {u} are equal.
     On the 144 Hochster jobs of the first ``exact-tables`` pass (seed 1),
-    7,611 of the 14,249 visited W repeat a mask of their call.  The memo
-    holds one entry per distinct mask and is dropped when the call
-    returns.
+    the 14,249 visited W fall under 11,130 (mask, |W|) keys and 6,638
+    distinct masks, so 7,611 W repeat a mask of their call.  The counts
+    and the reduced masks are dropped when the call returns.
 
     The strand route ranks every column of each strand of the Lyubeznik
     complex, so ``--method both`` compares this computation against one
@@ -293,43 +332,56 @@ def betti_hochster(
     gen_masks = ideal.gen_masks()
     index = FaceIndex(_face_masks(n, gen_masks))
     every = (1 << len(index.faces)) - 1
-    # keep[v]: the rows whose face misses vertex v
-    keep = [every ^ held for held in index.holding]
+    # keep[v]: the rows whose face misses vertex v; a variable in no face
+    # misses every row
+    keep = [every ^ held for held in index.holding] + [every] * (n - index.n)
     off_star = _off_stars(index, n, gen_masks)
     if prune_cones:
         candidates = _union_closure(gen_masks)
     else:
-        candidates = list(range(1, 1 << n))
+        candidates = range(1, 1 << n)
+    # rank[v]: the place of v in the apex order, len(apexes) for a variable
+    # that is no vertex of Delta; off[rank]: the rows it keeps, all of them
+    # for no apex
     apexes = index.apexes()
-    full = (1 << index.n) - 1
-    # homologies[cells]: the (g, h) with h != 0 of index.homology(cells)
-    homologies: dict[int, list[tuple[int, int]]] = {}
-    entries: dict[tuple[int, int], int] = {}
+    rank = [len(apexes)] * n
+    for place, v in enumerate(apexes):
+        rank[v] = place
+    off = [off_star[v] for v in apexes] + [every]
+    # W splits into its vertices below half and the rest: W = x + (y << half)
+    half = n >> 1
+    lower = (1 << half) - 1
+    low_inside, low_apex = _half_tables(keep[:half], rank[:half], every, len(apexes))
+    high_inside, high_apex = _half_tables(keep[half:], rank[half:], every, len(apexes))
+    # counts[cells]: the numbers of visited W with those cells, one field of
+    # n bits for each |W| = j at bit j * n; fewer than 2^n W have |W| = j,
+    # so no field overflows
+    unit = [1 << j * n for j in range(n + 1)]
+    counts: dict[int, int] = {}
     for w in candidates:
-        # cells: the rows of the faces inside W and outside the closed star
-        # of the apex; with no vertex of Delta in W, Delta_W = {∅} keeps its
-        # one face
-        cells = every
-        outside = full & ~w
-        while outside:
-            low = outside & -outside
-            outside ^= low
-            cells &= keep[low.bit_length() - 1]
-        for v in apexes:
-            if w >> v & 1:
-                cells &= off_star[v]
-                break
-        pairs = homologies.get(cells)
-        if pairs is None:
-            dims = index.homology(cells, field)
-            pairs = homologies[cells] = [(g, h) for g, h in enumerate(dims) if h]
-        j = w.bit_count()
-        # i >= 0: a face of size j inside W is W itself, which holds the apex
-        # and so lies in its closed star, never a cell; with no apex the one
-        # cell is the empty face; so g <= j - 1 for every cell
-        for g, h in pairs:
-            i = j - g - 1  # faces of size g have dimension g - 1
-            entries[(i, j)] = entries.get((i, j), 0) + h
+        x = w & lower
+        y = w >> half
+        a = low_apex[x]
+        b = high_apex[y]
+        cells = low_inside[x] & high_inside[y] & off[a if a < b else b]
+        counts[cells] = counts.get(cells, 0) + unit[w.bit_count()]
+    entries: dict[tuple[int, int], int] = {}
+    for cells, packed in counts.items():
+        dims = index.homology(cells, field)
+        if not any(dims):
+            continue
+        pairs = [(g, h) for g, h in enumerate(dims) if h]
+        while packed:
+            # the lowest field in use: j, and its count
+            j = ((packed & -packed).bit_length() - 1) // n
+            count = packed >> j * n & (1 << n) - 1
+            packed ^= count << j * n
+            # i >= 0: a face of size j inside W is W itself, which holds the
+            # apex and so lies in its closed star, never a cell; with no apex
+            # the one cell is the empty face; so g <= j - 1 for every cell
+            for g, h in pairs:
+                i = j - g - 1  # faces of size g have dimension g - 1
+                entries[(i, j)] = entries.get((i, j), 0) + h * count
     table = BettiTable(entries)
     _check_degree_row(ideal, table)
     return table

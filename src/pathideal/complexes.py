@@ -12,9 +12,9 @@ then by mask, and marks for each vertex, with one mask, the rows whose face
 contains it.  A face's boundary column, a mask of rows from which the signs
 follow, as the rows follow the masks, is built the first time a reduction
 walks its row, and a vertex's closed star the first time it is asked for.
-Its ``pivots`` restricts columns and reduces them over a field, and its
-``homology`` splits a mask of cells by size and reduces their boundaries
-from the top size down with clearing.  The Hochster route of ``betti``
+Its ``homology`` splits a mask of cells by size, restricts their boundary
+columns to the cells one size down and reduces them over a field, in one
+pass from the top size down with clearing.  The Hochster route of ``betti``
 ranks each induced subcomplex relative to the closed star of one of its
 vertices, whose complement it builds from the generators and not from the
 index, and the sequential Cohen-Macaulay test of ``topology`` ranks each
@@ -27,13 +27,15 @@ exponential Betti routes share no inner loop.
 
 from __future__ import annotations
 
+import sys
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import groupby
 from typing import Iterable, Optional
 
 from .caps import SUBSET_CAP_N, CapExceeded
 from .fields import FieldSpec, reducer
-from .monomials import _canonical_sorted, _check_canonical, _family_to_text, _minimal_masks, iter_bits
+from .monomials import _canonical_sorted, _check_canonical, _family_to_text, _minimal_masks
 
 
 @dataclass(frozen=True)
@@ -101,6 +103,8 @@ class SimplicialComplex:
 # which is 1 on the second half of each run of 2^(b + 1) byte values
 _BIT_CHARS = [(b"0" * (1 << b) + b"1" * (1 << b)) * (128 >> b) for b in range(8)]
 
+_WORD = (1 << 64) - 1
+
 
 class FaceIndex:
     """The faces of a downward-closed family in one row numbering, with
@@ -116,13 +120,15 @@ class FaceIndex:
 
     ``column(r)`` is the boundary of the face f in row r, the sum of
     (-1)^pos (f minus its pos-th vertex), as the mask of the rows of those
-    faces (the empty face has the zero column).  ``pivots`` builds the
-    columns of the rows it walks, and only those.  The signs need no mask
-    of their own: the pos of a term is the number of terms of the column in
+    faces (the empty face has the zero column).  ``homology`` builds the
+    columns of the rows it walks, and only those.  The signs follow from
+    the rows: the pos of a term is the number of terms of the column in
     higher rows.  Proof: for vertices u < w of f, the masks f - u and f - w
     differ only at u and w, and f - u holds w, so f - u is the larger;
     within a size the rows follow the masks, so the term of pos 0 has the
-    highest row, and pos grows as the rows fall.
+    highest row, and pos grows as the rows fall.  A column is built with
+    the mask of its terms of odd pos, its parity mask, which gives the
+    signs of any restriction of it with one AND.
 
     ``star(v)`` marks the rows of the closed star of v, the faces F with
     F + {v} a face; it is empty unless {v} is a face.  It is the faces that
@@ -135,39 +141,56 @@ class FaceIndex:
     """
 
     def __init__(self, faces: Iterable[int]):
-        # sorted is stable: by size, and within a size by mask
+        # sorted is stable: by size, and within a size by mask; on faces
+        # given in increasing order the first sort is one pass
         self.faces: list[int] = sorted(sorted(faces), key=int.bit_count)
         self.n = max(self.faces, default=0).bit_length()
         self.row = {f: r for r, f in enumerate(self.faces)}
-        # a downward-closed family has faces of every size up to its top
+        # a downward-closed family has faces of every size up to its top,
+        # and the sizes of the sorted faces do not fall
         self.sized: list[int] = []
         start = 0
-        for _, group in groupby(self.faces, int.bit_count):
-            end = start + sum(1 for _ in group)
+        for g in range(self.faces[-1].bit_count() + 1 if self.faces else 0):
+            end = bisect_right(self.faces, g, start, key=int.bit_count)
             self.sized.append((1 << end) - (1 << start))
             start = end
         # holding[v] transposes the faces: bit r of it is bit v of the face
-        # in row r.  Each face goes into ``width`` bytes, the last face
-        # first; byte v // 8 of every face is one slice of them, and
-        # translating its bytes to the digits of bit v % 8 spells holding[v]
-        # in binary, highest row first.
-        width = (self.n + 7) // 8
-        packed = b"".join([f.to_bytes(width, "little") for f in reversed(self.faces)])
+        # in row r.  The faces go into 64-bit words, the last face first,
+        # ``words`` to a face and little-endian; byte v // 8 of every face
+        # is one slice of them, and translating its bytes to the digits of
+        # bit v % 8 spells holding[v] in binary, highest row first.
+        words = (self.n + 63) >> 6
+        if words > 1:
+            chunks = [f >> s & _WORD for f in reversed(self.faces) for s in range(0, words << 6, 64)]
+            packed = array("Q", chunks)
+        else:
+            packed = array("Q", reversed(self.faces))
+        if sys.byteorder == "big":
+            packed.byteswap()
+        raw, width = packed.tobytes(), words << 3
         self.holding: list[int] = [
-            int(packed[v >> 3 :: width].translate(_BIT_CHARS[v & 7]), 2) for v in range(self.n)
+            int(raw[v >> 3 :: width].translate(_BIT_CHARS[v & 7]), 2) for v in range(self.n)
         ]
+        # _columns[r], _odd[r]: the column of row r and its parity mask
         self._columns: list[Optional[int]] = [None] * len(self.faces)
+        self._odd: list[int] = [0] * len(self.faces)
         self._stars: list[Optional[int]] = [None] * self.n
 
     def _column(self, r: int) -> int:
-        """Builds the boundary column of row r."""
+        """Builds the boundary column of row r, and its parity mask."""
         f, row = self.faces[r], self.row
-        column = 0
-        rest = f
+        column = odd = 0
+        # the vertices of f from the lowest, pos 0, up
+        rest, pos = f, 0
         while rest:
             low = rest & -rest
             rest ^= low
-            column |= 1 << row[f ^ low]
+            term = 1 << row[f ^ low]
+            column |= term
+            if pos & 1:
+                odd |= term
+            pos += 1
+        self._columns[r], self._odd[r] = column, odd
         return column
 
     def column(self, r: int) -> int:
@@ -175,7 +198,7 @@ class FaceIndex:
         docstring), built on the first call."""
         column = self._columns[r]
         if column is None:
-            column = self._columns[r] = self._column(r)
+            column = self._column(r)
         return column
 
     def _star(self, v: int) -> int:
@@ -197,43 +220,6 @@ class FaceIndex:
             star = self._stars[v] = self._star(v)
         return star
 
-    def pivots(self, rows: int, below: int, field: FieldSpec) -> int:
-        """The mask of the pivot rows of ``fields.reducer(field)`` on the
-        columns of the rows set in ``rows``, each restricted to the rows set
-        in ``below``; their number is the rank.  A column not built yet is
-        built here (``column``) and kept.  A column goes in as its mask
-        over GF(2), otherwise as a dict row -> (-1)^pos (p - 1 for -1 over
-        GF(p)), pos counted on the whole column (see the class docstring).
-        Rows and columns are counted from the first of each set, so that the
-        walks and the reducer handle masks no wider than the rows in use.
-        With no rows, or none below, the rank is 0 and the reducer is not
-        called.
-        """
-        if not rows or not below:
-            return 0
-        p = field.p
-        minus = p - 1 if p else -1
-        first = (rows & -rows).bit_length() - 1
-        base = (below & -below).bit_length() - 1
-        rows >>= first
-        below >>= base
-        cols: list = []
-        while rows:
-            low = rows & -rows
-            rows ^= low
-            r = first + low.bit_length() - 1
-            column = self.column(r) >> base
-            kept = column & below
-            if p != 2:
-                # iter_bits counts from 1: the terms above row t - 1 are the
-                # bits from t up, and the rows cut off below base are lower
-                kept = {t - 1: minus if (column >> t).bit_count() & 1 else 1 for t in iter_bits(kept)}
-            cols.append(kept)
-        pivots = 0
-        for h in reducer(field)(cols):
-            pivots |= 1 << h
-        return pivots << base
-
     def homology(self, cells: int, field: FieldSpec) -> list[int]:
         """The homology of the chain complex with the rows set in ``cells``
         as its basis and each boundary column restricted to the cells one
@@ -244,6 +230,18 @@ class FaceIndex:
         cells are the faces of a downward-closed family K outside a
         subcomplex S of it: the restriction is then the differential of the
         quotient C~(K) / C~(S) of augmented chain complexes.
+
+        One pass.  The sizes are taken from the top down.  At each size the
+        rows of the cells that are kept (see Clearing) are walked from the
+        highest down, each column is built if it is not yet (``column``)
+        and restricted to the cells one size down with one AND, and the
+        columns go to ``fields.reducer(field)``, looked up once per call:
+        over GF(2) as their masks, otherwise as dicts row -> (-1)^pos
+        (p - 1 for -1 over GF(p)), the terms of odd pos, pos counted on the
+        whole column, being those in the column's parity mask (see the
+        class docstring).  The reducer's pivot rows give the rank.  With no
+        cells one size down every column restricts to zero, and the boundary
+        has rank 0 without a reduction.
 
         Relative to a vertex star.  When S is the closed star in K of a
         vertex v of K (the faces F of K with F + {v} in K), the homology of
@@ -272,27 +270,59 @@ class FaceIndex:
         dropped yet, so no drop changes the column space.  The skipped
         columns would have reduced to zero anyway; skipping them saves that
         work, and the rows they would have pivoted are read off the
-        reducer's pivots.  With no cells one size down every column
-        restricts to zero, and d_g has rank 0 without a reduction.
+        reducer's pivots, which do not depend on the order the columns come
+        in: they are the largest rows of the nonzero vectors of the column
+        space.
         """
         sized = self.sized
         dims = [0] * len(sized)
         if not cells:
             return dims
-        # from the size of the last cell down; above: the rank of the
-        # boundary of the cells one size up, cleared: its pivot rows
+        p = field.p
+        reduce = reducer(field)
+        minus = p - 1 if p else -1
+        columns, odd = self._columns, self._odd
+        # from the size of the last cell down to that of the first; above:
+        # the rank of the boundary of the cells one size up, cleared: its
+        # pivot rows
         top = self.faces[cells.bit_length() - 1].bit_count()
+        bottom = self.faces[(cells & -cells).bit_length() - 1].bit_count()
         rows = cells & sized[top]
         above = cleared = 0
-        for g in range(top, 0, -1):
+        for g in range(top, bottom, -1):
             below = cells & sized[g - 1]
             kept = rows & ~cleared
-            cleared = self.pivots(kept, below, field) if kept and below else 0
+            cleared = 0
+            if kept and below:
+                cols: list = []
+                while kept:
+                    r = kept.bit_length() - 1
+                    kept ^= 1 << r
+                    column = columns[r]
+                    if column is None:
+                        column = self._column(r)
+                    column &= below
+                    if p != 2:
+                        negative = column & odd[r]
+                        column ^= negative
+                        terms = {}
+                        while column:
+                            t = column.bit_length() - 1
+                            column ^= 1 << t
+                            terms[t] = 1
+                        while negative:
+                            t = negative.bit_length() - 1
+                            negative ^= 1 << t
+                            terms[t] = minus
+                        column = terms
+                    cols.append(column)
+                for h in reduce(cols):
+                    cleared |= 1 << h
             rank = cleared.bit_count()
             dims[g] = rows.bit_count() - rank - above
             above = rank
             rows = below
-        dims[0] = rows.bit_count() - above
+        dims[bottom] = rows.bit_count() - above
         return dims
 
     def apexes(self) -> list[int]:

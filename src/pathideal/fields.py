@@ -7,8 +7,8 @@ picks it; each returns the pivot columns keyed by their largest row, so the
 rank is the number of pivots, and a caller can also read which rows are
 pivots (``complexes.FaceIndex.homology`` clears the columns of those rows
 one size down).  Two callers put columns into a reducer's form:
-``complexes.FaceIndex.pivots`` the simplicial boundary columns, which the
-index keeps as row masks whose signs follow from the row order, and
+``complexes.FaceIndex.homology`` the simplicial boundary columns, which the
+index keeps as row masks with a parity mask for their signs, and
 :func:`rank_sparse` sparse integer columns ``[(row, coeff), ...]``, as the
 strand route builds them.
 

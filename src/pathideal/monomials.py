@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cmp_to_key
 from itertools import groupby
 from typing import Iterable, Iterator, Sequence
 
@@ -46,12 +45,30 @@ def _in_canonical_order(masks: Sequence[int]) -> bool:
     return all(a == b or _lex_less(a, b) for a, b in zip(masks, masks[1:]))
 
 
+# swaps the binary digits, so that a set bit reads "0"
+_SWAP_DIGITS = str.maketrans("01", "10")
+
+
+def _lex_key(mask: int) -> str:
+    """A sort key for the canonical order of ``_lex_less``: the binary
+    digits of ``mask`` from bit 0 up, each swapped, and "" for 0.
+
+    Proof.  Let a != b, with i the lowest bit where they differ, held by a.
+    The key of a has "0" at position i.  Below i the keys agree, as far as
+    each goes.  If b has a bit above i, its key has "1" at position i, so
+    a's key is less, and ``_lex_less(a, b)`` holds, as b > 2^i.  Otherwise
+    b's key ends before position i and is a prefix of a's, so it is less,
+    and ``_lex_less(b, a)`` holds, as b < 2^i.
+    """
+    return bin(mask)[:1:-1].translate(_SWAP_DIGITS) if mask else ""
+
+
 def _canonical_sorted(masks: Iterable[int]) -> list[int]:
     """``masks`` in canonical order.  Increasing masks often are already (the
-    intervals of a path ideal are); only others get the comparison sort."""
+    intervals of a path ideal are); only others get the key sort."""
     out = sorted(masks)
     if not _in_canonical_order(out):
-        out.sort(key=cmp_to_key(lambda a, b: 0 if a == b else -1 if _lex_less(a, b) else 1))
+        out.sort(key=_lex_key)
     return out
 
 

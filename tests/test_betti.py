@@ -199,6 +199,39 @@ def test_exponential_routes_agree_on_random_non_interval_ideals(ideal):
         )
 
 
+@st.composite
+def half_table_ideals(draw):
+    """Ideals on n = 1..14 variables, odd and even, drawn to stress the half
+    tables of ``betti_hochster``: the generators use only the first s <= n
+    variables, so the top ones may lie outside the support, and degree-1
+    generators are common, so some variables lie in no face and the face
+    index has n below the ideal's, and a W made of them holds no vertex of
+    Delta."""
+    n = draw(st.integers(1, 14))
+    s = draw(st.integers(1, n))
+    supports = st.sets(st.integers(0, s - 1), min_size=1, max_size=4)
+    chosen = draw(st.lists(supports, min_size=1, max_size=8))
+    ideal = minimalize(n, [Monomial(sum(1 << v for v in vs)) for vs in chosen])
+    assume(ideal.is_proper_nonzero)
+    return ideal
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(half_table_ideals())
+@example(ideal_from_text("n=1; (x1)"))  # no lower half at all
+@example(ideal_from_text("n=5; (x1, x2, x3*x4)"))  # W = {1, 2} holds no vertex
+@example(ideal_from_text("n=13; (x1*x2, x2*x3*x4, x5, x3*x6)"))  # x7..x13 are cone points
+@example(ideal_from_text("n=14; (x1*x2*x3, x3*x4, x4*x5*x7, x7*x8, x1*x9*x10, x11*x12, x14)"))
+def test_both_routes_agree_where_the_half_tables_are_uneven(ideal):
+    """``--method both`` insists that the two exponential routes agree; up
+    to n = 10 every W is also visited, without cone pruning, so that every
+    entry of both half tables is read."""
+    for field in (GF2, FieldSpec(3), QQ):
+        got = betti_table(ideal, field, method="both")
+        if ideal.n <= 10:
+            assert betti_hochster(ideal, field, prune_cones=False) == got, (str(ideal), field.label)
+
+
 def test_hochster_builds_one_face_index_per_ideal(monkeypatch):
     built = []
 
@@ -270,16 +303,31 @@ def random_full_support_ideals(seed, count=60, n=10):
     return out
 
 
+class WalkedColumns(list):
+    """A face index's column cache that records, as a row mask, every row
+    whose column is read from it."""
+
+    def __init__(self, columns):
+        super().__init__(columns)
+        self.walked = 0
+
+    def __getitem__(self, r):
+        self.walked |= 1 << r
+        return super().__getitem__(r)
+
+
 def test_hochster_builds_each_walked_column_once_and_no_star(monkeypatch):
-    """The index builds the column of a row once, the first time ``pivots``
-    walks it, and no other; ``betti_hochster`` builds no closed star, as
-    its off-star masks come from the generators."""
+    """The index builds the column of a row once, the first time
+    ``homology`` walks it (reads it from the column cache), and no other;
+    every walked row is a cell of a reduced mask; ``betti_hochster`` builds
+    no closed star, as its off-star masks come from the generators."""
     indexes = []
 
     class CountingIndex(FaceIndex):
         def __init__(self, faces):
-            self.built_columns, self.built_stars, self.walked = [], [], 0
+            self.built_columns, self.built_stars, self.cells = [], [], 0
             super().__init__(faces)
+            self._columns = WalkedColumns(self._columns)
             indexes.append(self)
 
         def _column(self, r):
@@ -290,10 +338,9 @@ def test_hochster_builds_each_walked_column_once_and_no_star(monkeypatch):
             self.built_stars.append(v)
             return super()._star(v)
 
-        def pivots(self, rows, below, field):
-            if rows and below:
-                self.walked |= rows
-            return super().pivots(rows, below, field)
+        def homology(self, cells, field):
+            self.cells |= cells
+            return super().homology(cells, field)
 
     monkeypatch.setattr(pathideal.betti, "FaceIndex", CountingIndex)
     jobs = [(ideal, GF2) for ideal in random_full_support_ideals(1)]
@@ -308,8 +355,10 @@ def test_hochster_builds_each_walked_column_once_and_no_star(monkeypatch):
         indexes.clear()
         betti_hochster(ideal, field)
         (index,) = indexes
-        rows = [r for r in range(len(index.faces)) if index.walked >> r & 1]
+        walked_rows = index._columns.walked
+        rows = [r for r in range(len(index.faces)) if walked_rows >> r & 1]
         assert sorted(index.built_columns) == rows, (str(ideal), field.label)
+        assert walked_rows & index.cells == walked_rows, (str(ideal), field.label)
         assert index.built_stars == [], (str(ideal), field.label)
         walked += len(rows)
         every += len(index.faces)
@@ -493,11 +542,11 @@ def test_hochster_reduces_each_relative_complex_once(monkeypatch):
 @given(non_interval_ideals())
 @example(random_full_support_ideals(1)[9])  # 140 visited W, 34 distinct cell sets
 def test_visited_w_with_equal_cells_have_equal_homology(ideal):
-    """The claims that make the memo of ``betti_hochster`` exact and its
-    hits common, on the reduced homology of Delta_W by the oracle: two
-    visited W with the same relative cells have the same homology, and
-    taking from W a vertex other than its apex that lies in no cell leaves
-    the cells and the homology unchanged."""
+    """The claims that make the per-mask counts of ``betti_hochster`` exact
+    and their repeats common, on the reduced homology of Delta_W by the
+    oracle: two visited W with the same relative cells have the same
+    homology, and taking from W a vertex other than its apex that lies in
+    no cell leaves the cells and the homology unchanged."""
     gens = ideal.gen_masks()
     every_face = induced_faces(gens, (1 << ideal.n) - 1)
     order = apex_order(every_face)

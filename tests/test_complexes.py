@@ -11,7 +11,7 @@ from pathideal.caps import CapExceeded
 from pathideal.complexes import FaceIndex, SimplicialComplex, reduced_homology_dims
 from pathideal.fields import GF2, QQ, FieldSpec
 
-from oracles import homology_dims, reference_rank
+from oracles import boundary_ranks, homology_dims
 
 
 def cx(n, *facets):
@@ -30,8 +30,8 @@ def nonzero(dims):
 
 def signed_column(index, r):
     """Column r of the index as a dict row -> +-1 over the integers, with
-    the sign rule of ``FaceIndex.pivots``: -1 to the number of terms in
-    higher rows."""
+    the sign rule of the class docstring of ``FaceIndex``: -1 to the number
+    of terms in higher rows."""
     column = index.column(r)
     return {
         t: (-1) ** (column >> t + 1).bit_count()
@@ -116,6 +116,9 @@ def test_boundary_composition_is_zero():
                 for row, c2 in signed_column(index, mid).items():
                     acc[row] = acc.get(row, 0) + c1 * c2
             assert not any(acc.values()), (str(complex_), r)
+            # the parity mask marks the terms of sign -1
+            negative = [t for t, c in signed_column(index, r).items() if c < 0]
+            assert index._odd[r] == rows(*negative), (str(complex_), r)
 
 
 def test_face_index_of_a_triangle_and_an_edge():
@@ -132,6 +135,7 @@ def test_face_index_of_a_triangle_and_an_edge():
     assert signed_column(index, 9) == {7: 1, 6: -1, 5: 1}
     # the edge {3,4}: {4} - {3}
     assert signed_column(index, 8) == {4: 1, 3: -1}
+    assert index._odd[9] == rows(6) and index._odd[8] == rows(3)
     assert index.column(0) == 0 and all(index.column(r) == 1 for r in range(1, 5))
     assert index.holding == [
         rows(*(r for r, f in enumerate(ordered) if f >> v & 1)) for v in range(4)
@@ -149,6 +153,17 @@ def test_face_index_of_a_triangle_and_an_edge():
     assert irrelevant.n == 0 and irrelevant.holding == [] and irrelevant.apexes() == []
     void = FaceIndex([])
     assert void.faces == void.sized == void.holding == [] and void.n == 0
+
+
+def test_face_index_holding_past_64_vertices():
+    # faces wider than one 64-bit word are transposed word by word
+    faces = SimplicialComplex.from_faces(140, [1 | 1 << 70 | 1 << 139, 1 << 63 | 1 << 64]).faces()
+    index = FaceIndex(faces)
+    assert index.n == 140
+    assert index.holding == [
+        sum(1 << r for r, f in enumerate(index.faces) if f >> v & 1) for v in range(140)
+    ]
+    assert sum(map(bool, index.holding)) == 5
 
 
 def closed_stars_by_definition(index, faces):
@@ -187,35 +202,33 @@ def test_face_index_star_is_the_closed_star(family):
 
 
 @st.composite
-def restricted_boundaries(draw):
-    """A face index of a random complex and two masks of its rows, of any
-    sizes."""
+def relative_cell_sets(draw):
+    """The faces of a random complex K, its face index, a random subcomplex
+    S (the faces below some faces of K: none, a vertex, or all of K, among
+    others) and the mask of the rows of the faces of K outside S."""
     n = draw(st.integers(1, 8))
     facets = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=6))
-    index = FaceIndex(SimplicialComplex.from_faces(n, facets).faces())
-    every = (1 << len(index.faces)) - 1
-    return index, draw(st.integers(0, every)), draw(st.integers(0, every))
+    faces = SimplicialComplex.from_faces(n, facets).faces()
+    index = FaceIndex(faces)
+    tops = draw(st.lists(st.sampled_from(index.faces), max_size=4))
+    sub = {f for f in faces if any(f & top == f for top in tops)}
+    cells = sum(1 << r for r, f in enumerate(index.faces) if f not in sub)
+    return faces, index, sub, cells
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(restricted_boundaries())
-def test_face_index_pivots_rank_the_restricted_boundary(case):
-    index, kept_rows, below = case
-    # the dense signed matrix, rows in below by columns in kept_rows
-    kept = [f for r, f in enumerate(index.faces) if kept_rows >> r & 1]
-    kept_below = [f for t, f in enumerate(index.faces) if below >> t & 1]
-    row_of = {f: i for i, f in enumerate(kept_below)}
-    matrix = [[0] * len(kept) for _ in row_of]
-    for c, face in enumerate(kept):
-        for pos, v in enumerate(v for v in range(face.bit_length()) if face >> v & 1):
-            i = row_of.get(face & ~(1 << v))
-            if i is not None:
-                matrix[i][c] = (-1) ** pos
+@given(relative_cell_sets())
+def test_face_index_homology_ranks_the_restricted_boundaries(case):
+    """``homology`` of the faces of K outside a subcomplex S is the homology
+    of C~(K) / C~(S) by dense signed matrices.  Read from the top size
+    down, the dimensions fix the rank of every restricted boundary, so each
+    rank the one-pass kernel computes is checked."""
+    faces, index, sub, cells = case
     for field in (GF2, FieldSpec(3), QQ):
-        pivots = index.pivots(kept_rows, below, field)
-        assert pivots & below == pivots, (index.faces, kept_rows, below, field.label)
-        assert pivots.bit_count() == reference_rank(matrix, field.p), (
-            index.faces, kept_rows, below, field.label)
+        sizes, ranks = boundary_ranks(faces, field, drop=sub)
+        ranks.append(0)
+        expected = [sizes[g] - ranks[g] - ranks[g + 1] for g in range(len(sizes))]
+        assert index.homology(cells, field) == expected, (sorted(faces), sorted(sub), field.label)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

@@ -19,6 +19,7 @@ from pathideal.monomials import (
     monomial_from_text,
     monomial_to_text,
 )
+from pathideal.monomials import _canonical_sorted, _lex_key, _lex_less
 
 
 def mono(*indices):
@@ -305,3 +306,30 @@ def test_monomial_order_is_lexicographic_on_index_lists(masks):
     for a in monos:
         for b in monos:
             assert (a < b) == (a.vars < b.vars)
+
+
+def prefixes_and_extensions(masks):
+    """The masks, with 0, each mask's prefixes (its lowest bits only) and
+    each mask with one bit added above it."""
+    out = {0}
+    for m in masks:
+        out.add(m)
+        rest = m
+        while rest:
+            out.add(rest)
+            rest &= ~(1 << rest.bit_length() - 1)
+        out.add(m | 1 << m.bit_length())
+    return sorted(out)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(0, (1 << 12) - 1), max_size=8))
+@example([0, 0b1, 0b11, 0b111, 0b101])  # 0 and prefixes of one mask
+def test_lex_key_order_is_the_lex_less_order(masks):
+    family = prefixes_and_extensions(masks)
+    for a in family:
+        for b in family:
+            assert (_lex_key(a) < _lex_key(b)) == _lex_less(a, b), (bin(a), bin(b))
+    by_key = sorted(family, key=_lex_key)
+    assert all(_lex_less(a, b) for a, b in zip(by_key, by_key[1:])), [bin(m) for m in by_key]
+    assert _canonical_sorted(reversed(family)) == by_key

@@ -18,7 +18,7 @@ def test_no_result_is_guarded_only_by_assert():
 
 
 def test_only_the_face_index_and_fields_name_the_reducers():
-    # complexes.FaceIndex.pivots restricts every simplicial boundary and
+    # complexes.FaceIndex.homology restricts every simplicial boundary and
     # calls the field's reducer; other modules rank through it or through
     # fields.rank_sparse
     names = {"reducer", "pivots_gf2", "pivots_gfp", "pivots_qq"}

@@ -631,6 +631,53 @@ def test_seq_cm_matches_link_complexes_on_random_complexes():
     assert any(len({f.bit_count() for f in cx.facets}) > 1 for cx in complexes)
 
 
+def test_seq_cm_fails_below_the_top_facet_size():
+    # the triangle {1,2,3} is CM, but the pure 1-skeleton of the complex,
+    # its edges and {4,5}, is a disconnected graph
+    cx = SimplicialComplex.from_faces(5, [0b00111, 0b11000])
+    top = SimplicialComplex.from_faces(5, [0b00111])
+    for field in (GF2, FieldSpec(3), QQ):
+        assert not is_sequentially_cm(cx, field), field.label
+        assert not sequentially_cm_by_link_complexes(cx, field), field.label
+        assert is_sequentially_cm(top, field), field.label
+
+
+@st.composite
+def complexes_failing_below_the_top(draw):
+    """Nonpure complexes whose top skeleton is Cohen-Macaulay and whose
+    pure skeleton at a lower facet size t >= 2 is not, so they are not
+    sequentially CM over any field, with their top facets apart.
+
+    The top facets, of size T, are shelled: each adds one new vertex to the
+    one before it less one vertex.  The one facet B of size t < T meets
+    their vertices in a set s of at most t - 2 of them.  The link of s in
+    the skeleton of size t then holds B - s, of dimension at least 1, apart
+    from the faces of the top facets, so it is disconnected below its top
+    dimension.  At most 10 vertices are used, the sequential-CM cap."""
+    size = draw(st.integers(3, 5))
+    extra = draw(st.integers(0, 2))
+    t = draw(st.integers(2, size - 1))
+    shared = draw(st.integers(max(0, t - 3), t - 2))
+    order = draw(st.permutations(range(size + extra + t - shared)))
+    tops = [sum(1 << order[v] for v in range(e, e + size)) for e in range(extra + 1)]
+    top_vertices = order[: size + extra]
+    below = draw(st.sets(st.sampled_from(top_vertices), min_size=shared, max_size=shared))
+    lower = sum(1 << v for v in below) + sum(1 << v for v in order[size + extra:])
+    n = len(order)
+    return SimplicialComplex.from_faces(n, tops + [lower]), SimplicialComplex.from_faces(n, tops)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(complexes_failing_below_the_top())
+def test_seq_cm_matches_link_complexes_below_the_top_facet_size(case):
+    cx, top = case
+    assert len({f.bit_count() for f in cx.facets}) == 2, str(cx)
+    for field in (GF2, FieldSpec(3), QQ):
+        assert not is_sequentially_cm(cx, field), (str(cx), field.label)
+        assert not sequentially_cm_by_link_complexes(cx, field), (str(cx), field.label)
+        assert is_sequentially_cm(top, field), (str(top), field.label)
+
+
 def pure_skeleton(faces, t):
     """The faces lying in a face of size t."""
     tops = [f for f in faces if f.bit_count() == t]
