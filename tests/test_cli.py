@@ -304,12 +304,44 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
             "split_ideal_n5_var4.json", 1,
             ["split", "--ideal", "n=5; (x1*x2*x4, x2*x3, x3*x4*x5)", "--var", "4", "--json"],
         ),
+        ("betti_path_m3_l1_k3_report.txt", 0, ["betti", "--m", "3", "--l", "1", "--k", "3"]),
+        (
+            "betti_ideal_n5_rat_both_report.txt", 0,
+            ["betti", "--ideal", "n=5; (x1*x2*x4, x2*x3, x3*x4*x5)", "--field", "rat",
+             "--method", "both"],
+        ),
+        ("verify_default.txt", 0, ["verify"]),
+        (
+            "verify_m2_n8_taylor_cap8.txt", 0,
+            ["verify", "--m-max", "2", "--n-max", "8", "--method", "taylor", "--cap-cells", "8"],
+        ),
+        ("split_path_m3_l1_k3.txt", 0, ["split", "--m", "3", "--l", "1", "--k", "3"]),
+        (
+            "split_ideal_n5_var4.txt", 1,
+            ["split", "--ideal", "n=5; (x1*x2*x4, x2*x3, x3*x4*x5)", "--var", "4"],
+        ),
+        ("open_problem_default.txt", 0, ["open-problem"]),
+        ("open_problem_default.csv", 0, ["open-problem", "--csv"]),
+        (
+            "open_problem_n11_taylor_cap4.txt", 0,
+            ["open-problem", "--n-max", "11", "--method", "taylor", "--cap-cells", "4"],
+        ),
+        (
+            "open_problem_n11_taylor_cap4.csv", 0,
+            ["open-problem", "--n-max", "11", "--method", "taylor", "--cap-cells", "4", "--csv"],
+        ),
+        ("formula_m5_l3_k2.txt", 0, ["formula", "--m", "5", "--l", "3", "--k", "2"]),
+        ("formula_m3_n8.txt", 0, ["formula", "--m", "3", "--n", "8"]),
     ],
 )
 def test_report_matches_its_golden_byte_for_byte(capsys, golden, code, argv):
-    got, out, _ = run(capsys, *argv)
+    """A run that skips instances reports them on stderr, pinned by the
+    golden's ``.stderr`` sibling; every other run writes nothing there."""
+    got, out, err = run(capsys, *argv)
     assert got == code
     assert out.encode() == (GOLDEN_DIR / golden).read_bytes()
+    stderr = GOLDEN_DIR / (Path(golden).stem + ".stderr")
+    assert err.encode() == (stderr.read_bytes() if stderr.exists() else b"")
 
 
 def test_cert_counterexample_survives_optimized_mode():
