@@ -15,7 +15,7 @@ import json
 import sys
 from typing import Optional
 
-from .betti import betti_table, depth_of, invariants_of
+from .betti import BettiTable, betti_table, depth_of, invariants_of
 from .caps import (
     MINOR_CAP_N,
     SEQ_CM_CAP_N,
@@ -65,6 +65,29 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+def _report(args, payload: dict, text: str) -> None:
+    """Write ``payload`` as sorted one-line JSON under ``--json``, else ``text``."""
+    _emit(json.dumps(payload, sort_keys=True) + "\n" if args.json else text, args.out)
+
+
+def _rows(table: BettiTable) -> list[list[int]]:
+    return [[i, j, b] for i, j, b in table.items_sorted()]
+
+
+def _vertex_lists(masks) -> Optional[list[list[int]]]:
+    return None if masks is None else [list(iter_bits(mask)) for mask in masks]
+
+
+def _record_capped(payload: dict, key: str, check) -> None:
+    """Record ``check()`` under ``key``; beyond its cap, record None there
+    and the cap's message under ``<key>_skipped``."""
+    try:
+        payload[key] = check()
+    except CapExceeded as exc:
+        payload[key] = None
+        payload[f"{key}_skipped"] = str(exc)
+
+
 def _resolve_ideal(args) -> MonomialIdeal:
     if args.ideal:
         return ideal_from_text(args.ideal)
@@ -75,6 +98,14 @@ def _resolve_ideal(args) -> MonomialIdeal:
     if args.n is not None:
         return make_full_path_ideal(args.m, args.n)
     raise ValueError("give --l and --k for the general family, or --n for all paths")
+
+
+def _params(args, message: str) -> PathParams:
+    """The family member of ``--m --l --k``; ``message`` names the selections
+    the subcommand accepts, when one of the three is missing."""
+    if args.m is None or args.l is None or args.k is None:
+        raise ValueError(message)
+    return PathParams(args.m, args.l, args.k)
 
 
 def _params_args(parser, with_n=True) -> None:
@@ -89,11 +120,8 @@ def _params_args(parser, with_n=True) -> None:
 
 def cmd_gen(args) -> int:
     ideal = _resolve_ideal(args)
-    if args.json:
-        payload = {"n": ideal.n, "gens": [list(g.vars) for g in ideal.gens]}
-        _emit(json.dumps(payload, sort_keys=True) + "\n", args.out)
-    else:
-        _emit(ideal_to_text(ideal) + "\n", args.out)
+    payload = {"n": ideal.n, "gens": [list(g.vars) for g in ideal.gens]}
+    _report(args, payload, ideal_to_text(ideal) + "\n")
     return 0
 
 
@@ -105,26 +133,24 @@ def cmd_betti(args) -> int:
     )
     inv = invariants_of(table)
     depths = depth_of(ideal, table)
-    if args.json:
-        payload = {
-            "ideal": ideal_to_text(ideal),
-            "field": field.label,
-            "betti": [[i, j, b] for i, j, b in table.items_sorted()],
-            "pd": inv.pd,
-            "reg": inv.reg,
-            "depth_I": depths.depth_I,
-        }
-        _emit(json.dumps(payload, sort_keys=True) + "\n", args.out)
-    elif args.golden:
-        _emit(table.to_text(), args.out)
+    payload = {
+        "ideal": ideal_to_text(ideal),
+        "field": field.label,
+        "betti": _rows(table),
+        "pd": inv.pd,
+        "reg": inv.reg,
+        "depth_I": depths.depth_I,
+    }
+    if args.golden:
+        text = table.to_text()
     else:
-        lines = [f"{ideal_to_text(ideal)}  over {field.label}"]
-        for i, j, b in table.items_sorted():
-            lines.append(f"  beta[{i},{j}] = {b}")
+        lines = [f"{payload['ideal']}  over {field.label}"]
+        lines += [f"  beta[{i},{j}] = {b}" for i, j, b in payload["betti"]]
         lines.append(
             f"pd={inv.pd} reg={inv.reg} depth_I={depths.depth_I} depth_RI={depths.depth_RI}"
         )
-        _emit("\n".join(lines) + "\n", args.out)
+        text = "\n".join(lines) + "\n"
+    _report(args, payload, text)
     return 0
 
 
@@ -134,9 +160,7 @@ def cmd_formula(args) -> int:
         label = f"m={args.m},n={args.n} (all paths)"
         regime_info = {}
     else:
-        if args.m is None or args.l is None or args.k is None:
-            raise ValueError("give --m --l --k, or --m --n for all paths")
-        params = PathParams(args.m, args.l, args.k)
+        params = _params(args, "give --m --l --k, or --m --n for all paths")
         result = formula_result(params)
         regime = classify(params)
         label = str(params)
@@ -146,24 +170,19 @@ def cmd_formula(args) -> int:
             "p": regime.p,
             "d": regime.d,
         }
-    if args.json:
-        payload = {
-            "params": label,
-            "pd": result.pd,
-            "reg": result.reg,
-            "depth_I": result.depth_I,
-            "depth_RI": result.depth_RI,
-            **regime_info,
-        }
-        _emit(json.dumps(payload, sort_keys=True) + "\n", args.out)
-    else:
-        reg = "unknown" if result.reg is None else result.reg
-        extra = f" regime={regime_info['regime']}" if regime_info else ""
-        _emit(
-            f"{label}: pd={result.pd} reg={reg} depth_I={result.depth_I} "
-            f"depth_RI={result.depth_RI}{extra}\n",
-            args.out,
-        )
+    payload = {
+        "params": label,
+        "pd": result.pd,
+        "reg": result.reg,
+        "depth_I": result.depth_I,
+        "depth_RI": result.depth_RI,
+        **regime_info,
+    }
+    reg = "unknown" if result.reg is None else result.reg
+    extra = f" regime={regime_info['regime']}" if regime_info else ""
+    text = (f"{label}: pd={result.pd} reg={reg} depth_I={result.depth_I} "
+            f"depth_RI={result.depth_RI}{extra}\n")
+    _report(args, payload, text)
     return 0
 
 
@@ -200,9 +219,7 @@ def cmd_split(args) -> int:
             raise ValueError("--var is required with --ideal")
         var = args.var
     else:
-        if args.m is None or args.l is None or args.k is None:
-            raise ValueError("give --m --l --k (k >= 2), or --ideal with --var")
-        params = PathParams(args.m, args.l, args.k)
+        params = _params(args, "give --m --l --k (k >= 2), or --ideal with --var")
         if params.k < 2:
             raise ValueError("splitting at the last generator needs k >= 2")
         ideal = make_path_ideal(params)
@@ -218,30 +235,27 @@ def cmd_split(args) -> int:
         "K": ideal_to_text(fht.K),
         "fht_applies": fht.applies,
         "tables": {
-            "I": [[i, j, b] for i, j, b in case.table_I.items_sorted()],
-            "J": [[i, j, b] for i, j, b in case.table_J.items_sorted()],
-            "K": [[i, j, b] for i, j, b in case.table_K.items_sorted()],
-            "JK": [[i, j, b] for i, j, b in case.table_JK.items_sorted()],
+            "I": _rows(case.table_I),
+            "J": _rows(case.table_J),
+            "K": _rows(case.table_K),
+            "JK": _rows(case.table_JK),
         },
         "verdict": case.verdict,
         "witness": list(case.witness) if case.witness else None,
         "max_formula_pd": ok_pd,
         "max_formula_reg": ok_reg,
     }
-    if args.json:
-        _emit(json.dumps(payload, sort_keys=True) + "\n", args.out)
-    else:
-        lines = [
-            f"I = {payload['ideal']}",
-            f"J = {payload['J']}   (generators divisible by x{var})",
-            f"K = {payload['K']}",
-            f"linearity condition applies: {fht.applies}",
-            f"splitting identity holds: {case.verdict}"
-            + (f" (first failure at {case.witness})" if case.witness else ""),
-        ]
-        if case.verdict:
-            lines.append(f"pd max-formula holds: {ok_pd}; reg max-formula holds: {ok_reg}")
-        _emit("\n".join(lines) + "\n", args.out)
+    lines = [
+        f"I = {payload['ideal']}",
+        f"J = {payload['J']}   (generators divisible by x{var})",
+        f"K = {payload['K']}",
+        f"linearity condition applies: {fht.applies}",
+        f"splitting identity holds: {case.verdict}"
+        + (f" (first failure at {case.witness})" if case.witness else ""),
+    ]
+    if case.verdict:
+        lines.append(f"pd max-formula holds: {ok_pd}; reg max-formula holds: {ok_reg}")
+    _report(args, payload, "\n".join(lines) + "\n")
     return 0 if case.verdict and (not fht.applies or (ok_pd and ok_reg)) else 1
 
 
@@ -250,9 +264,7 @@ def cmd_cert(args) -> int:
     if args.clutter:
         clutter = clutter_from_text(args.clutter)
     else:
-        if args.m is None or args.l is None or args.k is None:
-            raise ValueError("give --m --l --k or --clutter")
-        clutter = clutter_of(make_path_ideal(PathParams(args.m, args.l, args.k)))
+        clutter = clutter_of(make_path_ideal(_params(args, "give --m --l --k or --clutter")))
 
     payload: dict = {"clutter": str(clutter)}
     try:
@@ -284,42 +296,30 @@ def cmd_cert(args) -> int:
             shelling=None, shelling_skipped=skipped, seq_cm=None, seq_cm_skipped=skipped,
         )
     else:
-        payload["facets"] = [list(iter_bits(f)) for f in cx.facets]
-        try:
-            order = find_shelling(cx, cap=args.cap_facets)
-            payload["shelling"] = (
-                [list(iter_bits(f)) for f in order] if order is not None else None
-            )
-        except CapExceeded as exc:
-            payload["shelling"] = None
-            payload["shelling_skipped"] = str(exc)
-        try:
-            payload["seq_cm"] = is_sequentially_cm(cx, field, cap=args.cap_seqcm)
-        except CapExceeded as exc:
-            payload["seq_cm"] = None
-            payload["seq_cm_skipped"] = str(exc)
+        payload["facets"] = _vertex_lists(cx.facets)
+        _record_capped(payload, "shelling",
+                       lambda: _vertex_lists(find_shelling(cx, cap=args.cap_facets)))
+        _record_capped(payload, "seq_cm",
+                       lambda: is_sequentially_cm(cx, field, cap=args.cap_seqcm))
 
-    if args.json:
-        _emit(json.dumps(payload, sort_keys=True) + "\n", args.out)
+    lines = [f"clutter: {payload['clutter']}"]
+    lines.append(
+        f"free vertex property: {payload['free_vertex_property']}"
+        f" [{payload['free_vertex_method']}]"
+    )
+    if payload.get("counterexample_minor"):
+        lines.append(f"  counterexample minor: {payload['counterexample_minor']}")
+        assignment = payload["counterexample_assignment"]
+        settings = [f"x{v} = 0" for v in assignment["zeros"]]
+        settings += [f"x{v} = 1" for v in assignment["ones"]]
+        lines.append(f"  counterexample assignment: {', '.join(settings) or 'none'}")
+    if payload.get("shelling") is not None:
+        lines.append("shelling: " + " -> ".join(str(f) for f in payload["shelling"]))
     else:
-        lines = [f"clutter: {payload['clutter']}"]
-        lines.append(
-            f"free vertex property: {payload['free_vertex_property']}"
-            f" [{payload['free_vertex_method']}]"
-        )
-        if payload.get("counterexample_minor"):
-            lines.append(f"  counterexample minor: {payload['counterexample_minor']}")
-            assignment = payload["counterexample_assignment"]
-            settings = [f"x{v} = 0" for v in assignment["zeros"]]
-            settings += [f"x{v} = 1" for v in assignment["ones"]]
-            lines.append(f"  counterexample assignment: {', '.join(settings) or 'none'}")
-        if payload.get("shelling") is not None:
-            lines.append("shelling: " + " -> ".join(str(f) for f in payload["shelling"]))
-        else:
-            lines.append("shelling: " + payload.get("shelling_skipped", "none found"))
-        seq_cm = payload.get("seq_cm_skipped", payload["seq_cm"])
-        lines.append(f"sequentially CM over {field.label}: {seq_cm}")
-        _emit("\n".join(lines) + "\n", args.out)
+        lines.append("shelling: " + payload.get("shelling_skipped", "none found"))
+    seq_cm = payload.get("seq_cm_skipped", payload["seq_cm"])
+    lines.append(f"sequentially CM over {field.label}: {seq_cm}")
+    _report(args, payload, "\n".join(lines) + "\n")
 
     checks = [payload["free_vertex_property"], payload["seq_cm"]]
     shelling_ok = payload.get("shelling") is not None or "shelling_skipped" in payload
@@ -386,7 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--jobs", type=int, default=1)
     p_verify.add_argument("--csv", action="store_true")
     p_verify.add_argument("--timing", action="store_true",
-                          help="record per-instance wall time (breaks byte-identical output)")
+                          help="record per-instance wall time in milliseconds "
+                               "(breaks byte-identical output)")
     p_verify.set_defaults(func=cmd_verify)
 
     p_split = sub.add_parser("split", parents=[output, field], help="Betti-splitting check")

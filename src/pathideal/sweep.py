@@ -48,6 +48,19 @@ OPEN_PROBLEM_COLUMNS = [
     "pd_oracle", "reg_oracle", "reg_small_overlap_formula", "coincides",
 ]
 
+_MATCH_KEYS = ("match_pd", "match_reg", "match_depth")
+
+
+def _label(record: dict) -> str:
+    """The ``m=M,l=L,k=K`` label of a record, as ``PathParams`` writes it."""
+    return str(PathParams(record["m"], record["l"], record["k"]))
+
+
+def _report_skips(records: list[dict]) -> None:
+    for r in records:
+        if r.get("status") == "skipped":
+            print(f"skipped {_label(r)}: {r['reason']}", file=sys.stderr)
+
 
 def iter_param_grid(
     m_min: int,
@@ -122,12 +135,12 @@ def evaluate_instance(
     record["match_reg"] = None if formula.reg is None else inv.reg == formula.reg
     record["match_depth"] = depths.depth_I == formula.depth_I
     if timing:
-        record["millis"] = int((time.perf_counter() - started) * 1000)
+        record["millis"] = round((time.perf_counter() - started) * 1000, 3)
     return record
 
 
 def record_is_mismatch(record: dict) -> bool:
-    return any(record[key] is False for key in ("match_pd", "match_reg", "match_depth"))
+    return any(record[key] is False for key in _MATCH_KEYS)
 
 
 def run_sweep(
@@ -162,16 +175,14 @@ def run_sweep(
     else:
         records = list(map(evaluate, grid))
     records.sort(key=lambda r: (r["m"], r["l"], r["k"]))
-    for r in records:
-        if r["status"] == "skipped":
-            print(f"skipped m={r['m']},l={r['l']},k={r['k']}: {r['reason']}", file=sys.stderr)
+    _report_skips(records)
     mismatches = [r for r in records if record_is_mismatch(r)]
     summary = {
         "instances": len(records),
         "ok": sum(1 for r in records if r["status"] == "ok"),
         "skipped": sum(1 for r in records if r["status"] == "skipped"),
         "mismatches": len(mismatches),
-        "mismatch_params": [f"m={r['m']},l={r['l']},k={r['k']}" for r in mismatches],
+        "mismatch_params": [_label(r) for r in mismatches],
     }
     return {
         "field": field.label,
@@ -213,13 +224,13 @@ def open_problem_sweep(
         }
         if table is None:
             record.update(status="skipped", reason=reason)
-            print(f"skipped {params}: {reason}", file=sys.stderr)
         else:
             inv = invariants_of(table)
             record.update(
                 pd_oracle=inv.pd, reg_oracle=inv.reg, coincides=inv.reg == small_overlap_value
             )
         records.append(record)
+    _report_skips(records)
     return records
 
 
@@ -254,57 +265,55 @@ def records_to_csv(records: list[dict], columns: list[str]) -> str:
     return out.getvalue()
 
 
+def _text_table(title: str, header: str, rows: list[str]) -> str:
+    return "\n".join([title, header, "-" * len(header), *rows]) + "\n"
+
+
+def _pair(formula, oracle) -> str:
+    return f"{'?' if formula is None else formula}/{oracle}"
+
+
 def report_to_text(report: dict) -> str:
-    lines = [f"sweep over {report['field']} (method={report['method']})"]
-    header = (
-        f"{'params':<16} {'regime':<14} {'pd':>7} {'reg':>9} {'depth':>9}  flags"
-    )
-    lines.append(header)
-    lines.append("-" * len(header))
+    header = f"{'params':<16} {'regime':<14} {'pd':>7} {'reg':>9} {'depth':>9}  flags"
+    rows = []
     for r in report["records"]:
-        params = f"m={r['m']},l={r['l']},k={r['k']}"
+        lead = f"{_label(r):<16} {r['regime']:<14}"
         if r["status"] == "skipped":
-            lines.append(f"{params:<16} {r['regime']:<14} skipped: {r['reason']}")
+            rows.append(f"{lead} skipped: {r['reason']}")
             continue
-        def pair(formula, oracle):
-            left = "?" if formula is None else str(formula)
-            return f"{left}/{oracle}"
-        flags = "".join(
-            "." if r[key] in (True, None) else "X"
-            for key in ("match_pd", "match_reg", "match_depth")
-        )
-        lines.append(
-            f"{params:<16} {r['regime']:<14} {pair(r['pd_formula'], r['pd_oracle']):>7} "
-            f"{pair(r['reg_formula'], r['reg_oracle']):>9} "
-            f"{pair(r['depth_formula'], r['depth_oracle']):>9}  {flags}"
+        flags = "".join("." if r[key] in (True, None) else "X" for key in _MATCH_KEYS)
+        rows.append(
+            f"{lead} {_pair(r['pd_formula'], r['pd_oracle']):>7} "
+            f"{_pair(r['reg_formula'], r['reg_oracle']):>9} "
+            f"{_pair(r['depth_formula'], r['depth_oracle']):>9}  {flags}"
         )
     s = report["summary"]
-    lines.append(
+    rows.append(
         f"instances={s['instances']} ok={s['ok']} skipped={s['skipped']} "
         f"mismatches={s['mismatches']}"
     )
     if s["mismatch_params"]:
-        lines.append("mismatching: " + ", ".join(s["mismatch_params"]))
-    return "\n".join(lines) + "\n"
+        rows.append("mismatching: " + ", ".join(s["mismatch_params"]))
+    return _text_table(f"sweep over {report['field']} (method={report['method']})", header, rows)
 
 
 def open_problem_to_json(records: list[dict]) -> str:
-    return json.dumps({"records": records}, indent=2, sort_keys=True) + "\n"
+    return report_to_json({"records": records})
 
 
 def open_problem_to_text(records: list[dict]) -> str:
-    lines = ["offset-step regime: oracle regularity (no closed form is known)"]
     header = f"{'params':<16} {'n':>3} {'s':>2} {'p':>2} {'d':>2} {'pd':>4} {'reg':>4}  small-overlap formula"
-    lines.append(header)
-    lines.append("-" * len(header))
+    rows = []
     for r in records:
-        params = f"m={r['m']},l={r['l']},k={r['k']}"
+        lead = f"{_label(r):<16} {r['n']:>3}"
         if r.get("status") == "skipped":
-            lines.append(f"{params:<16} {r['n']:>3} skipped: {r['reason']}")
+            rows.append(f"{lead} skipped: {r['reason']}")
             continue
         tail = f"{r['reg_small_overlap_formula']} ({'=' if r['coincides'] else '!='})"
-        lines.append(
-            f"{params:<16} {r['n']:>3} {r['s']:>2} {r['p']:>2} {r['d']:>2} "
+        rows.append(
+            f"{lead} {r['s']:>2} {r['p']:>2} {r['d']:>2} "
             f"{r['pd_oracle']:>4} {r['reg_oracle']:>4}  {tail}"
         )
-    return "\n".join(lines) + "\n"
+    return _text_table(
+        "offset-step regime: oracle regularity (no closed form is known)", header, rows
+    )

@@ -84,12 +84,17 @@ class Clutter:
 
 
 def clutter_from_text(text: str) -> Clutter:
-    """Read ``n=N; {1,2},{3}``, each edge as the ``{...}`` form of a monomial."""
-    match = re.fullmatch(r"\s*n\s*=\s*(\d+)\s*;\s*(.*)", text, re.DOTALL)
-    if not match:
+    """Read ``n=N; {1,2},{3}``, each edge as the ``{...}`` form of a monomial.
+
+    The body is split on the commas outside braces, as ``ideal_from_text``
+    splits its body, and every part must be one ``{...}`` set: any other
+    text is refused rather than dropped.  An empty body has no edges."""
+    match = re.fullmatch(r"\s*n\s*=\s*(\d+)\s*;(.*)", text, re.DOTALL)
+    body = match.group(2).strip() if match else ""
+    parts = re.split(r",(?![^{]*\})", body) if body else []
+    if not match or not all(re.fullmatch(r"\s*\{[^{}]*\}\s*", part) for part in parts):
         raise ValueError(f"cannot parse clutter text {text!r}")
-    edges = [monomial_from_text(part).mask for part in re.findall(r"\{[^}]*\}", match.group(2))]
-    return Clutter.from_edges(int(match.group(1)), edges)
+    return Clutter.from_edges(int(match.group(1)), [monomial_from_text(p).mask for p in parts])
 
 
 def clutter_of(ideal: MonomialIdeal) -> Clutter:

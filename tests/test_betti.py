@@ -679,6 +679,37 @@ def test_auto_takes_interval_route_beyond_the_exponential_caps():
     assert depth_of(ideal, table).depth_I == formula.depth_I
 
 
+def test_interval_memo_eviction_keeps_every_table(monkeypatch):
+    """Past its ``LIMIT`` the memo empties itself before a call; the tables
+    it computes afterwards are those of the default limit."""
+    ideals = [
+        make_path_ideal(PathParams(m, l, k))
+        for m, l in ((2, 1), (3, 2), (4, 2), (5, 3)) for k in range(1, 41)
+    ]
+    rng = random.Random(23)
+    while len(ideals) < 200:
+        n = rng.randint(1, 24)
+        gens = [
+            Monomial.from_vars(range(a, min(n, a + w - 1) + 1))
+            for a in range(1, n + 1) if (w := rng.randint(0, 5))
+        ]
+        ideal = minimalize(n, gens)
+        if ideal.is_proper_nonzero:
+            ideals.append(ideal)
+    expected = [betti_interval(ideal) for ideal in ideals]
+    memo = pathideal.betti._IntervalMemo()
+    evictions = []
+    clear = memo.clear
+    monkeypatch.setattr(memo, "clear", lambda: evictions.append(memo.entries) or clear())
+    monkeypatch.setattr(memo, "LIMIT", 64)
+    monkeypatch.setattr(pathideal.betti, "_INTERVAL_MEMO", memo)
+    for ideal, table in zip(ideals, expected):
+        assert betti_interval(ideal) == table, str(ideal)
+        if len(ideal.gens) <= 18:
+            assert betti_taylor_tor(ideal, GF2) == table, str(ideal)
+    assert len(evictions) > 10 and all(entries > 64 for entries in evictions)
+
+
 def test_interval_route_rejects_other_ideals():
     with pytest.raises(ValueError):
         betti_interval(ideal_from_text("n=3; (x1*x3)"))

@@ -1,6 +1,7 @@
 """CLI behaviour: outputs, exit codes, report determinism."""
 
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -157,6 +158,30 @@ def test_verify_json_byte_identical(capsys):
     assert out1 == out2
 
 
+def test_verify_reports_a_mismatch_and_exits_one(monkeypatch, capsys):
+    formula = sweep.formula_result
+    monkeypatch.setattr(sweep, "formula_result", lambda params: dataclasses.replace(
+        formula(params), pd=formula(params).pd + (params.k == 2)))
+    code, out, _ = run(capsys, "verify", "--m-max", "2", "--n-max", "4")
+    assert code == 1
+    assert out.splitlines()[-4:] == [
+        "m=2,l=1,k=2      exact_step         2/1       2/2       2/2  X..",
+        "m=2,l=1,k=3      exact_step         1/1       2/2       3/3  ...",
+        "instances=3 ok=3 skipped=0 mismatches=1",
+        "mismatching: m=2,l=1,k=2",
+    ]
+
+
+def test_verify_timing_records_milliseconds(capsys):
+    args = ["verify", "--m-max", "3", "--n-max", "9", "--json"]
+    _, out, _ = run(capsys, *args)
+    assert all(r["millis"] == 0 for r in json.loads(out)["records"])
+    code, out, _ = run(capsys, *args, "--timing")
+    millis = [r["millis"] for r in json.loads(out)["records"]]
+    assert code == 0 and sum(millis) > 0
+    assert all(m == round(m, 3) for m in millis)
+
+
 def test_verify_records_a_cell_cap_refusal_as_skipped(capsys):
     args = ["verify", "--m-min", "2", "--m-max", "2", "--n-max", "8", "--method", "taylor", "--json"]
     code, out, err = run(capsys, *args, "--cap-cells", "8")
@@ -283,11 +308,36 @@ def test_cert_triangle_fails(capsys):
         ("n=3; {0,1}", "variable index 0 out of range (indices are 1-based)"),
         ("n=3; {}", "edge empty or outside the vertex set"),
         ("n=3; {1,1},{2,3}", "monomial '{1,1}' repeats a variable (monomials are squarefree)"),
+        ("n=3; {1,2},{2,3", "cannot parse clutter text 'n=3; {1,2},{2,3'"),
+        ("n=3; {1,2}, x5", "cannot parse clutter text 'n=3; {1,2}, x5'"),
+        ("n=3; garbage", "cannot parse clutter text 'n=3; garbage'"),
     ],
 )
 def test_malformed_clutter_exits_two(capsys, text, message):
-    """Each ``{...}`` of ``--clutter`` is read as the set form of ``--ideal``."""
+    """Each ``{...}`` of ``--clutter`` is read as the set form of ``--ideal``,
+    and text outside the comma-separated sets is refused, not dropped."""
     assert run(capsys, "cert", "--clutter", text) == (2, "", f"error: {message}\n")
+
+
+def test_cert_cap_flags_record_their_skips(capsys):
+    """``--cap-minors``, ``--cap-facets`` and ``--cap-seqcm`` each skip their
+    check on the 7-cycle, which is not an interval clutter; skips exit 0."""
+    argv = ["cert", "--clutter", "n=7; {1,2},{2,3},{3,4},{4,5},{5,6},{6,7},{1,7}",
+            "--cap-facets", "1", "--cap-seqcm", "3", "--cap-minors", "2"]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:] == [
+        "free vertex property: None [skipped: n=7 exceeds cap 2]",
+        "shelling: 7 facets exceed cap 1",
+        "sequentially CM over GF(2): 7 vertices exceed cap 3",
+    ]
+    code, out, _ = run(capsys, *argv, "--json")
+    payload = json.loads(out)
+    assert code == 0 and len(payload["facets"]) == 7
+    assert payload["free_vertex_property"] is None
+    assert payload["free_vertex_method"] == "skipped: n=7 exceeds cap 2"
+    assert payload["shelling"] is None and payload["shelling_skipped"] == "7 facets exceed cap 1"
+    assert payload["seq_cm"] is None and payload["seq_cm_skipped"] == "7 vertices exceed cap 3"
 
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
