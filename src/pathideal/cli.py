@@ -26,20 +26,12 @@ from .caps import (
 )
 from .fields import parse_field
 from .monomials import MonomialIdeal, ideal_from_text, ideal_to_text, iter_bits
-from .pathfamily import (
-    PathParams,
-    classify,
-    formula_full_path,
-    formula_result,
-    make_full_path_ideal,
-    make_path_ideal,
-)
+from .pathfamily import PathParams, _full_path, classify, formula_result, make_path_ideal
 from .splitting import fht_condition, splitting_invariant_bounds
 from .sweep import (
     CSV_COLUMNS,
     OPEN_PROBLEM_COLUMNS,
     open_problem_sweep,
-    open_problem_to_json,
     open_problem_to_text,
     records_to_csv,
     report_to_json,
@@ -88,24 +80,30 @@ def _record_capped(payload: dict, key: str, check) -> None:
         payload[f"{key}_skipped"] = str(exc)
 
 
+def _params(args, message: str, text: Optional[str] = None) -> Optional[PathParams]:
+    """The family member the flags select: ``--m --l --k``, or the all-paths
+    member of ``--m --n`` where the subcommand takes ``--n``.  None when the
+    subcommand's text form ``text`` (``--ideal`` or ``--clutter``) is given
+    and no family flag is; any other mix raises ``ValueError(message)``."""
+    given = tuple(getattr(args, flag, None) is not None for flag in "mlkn")
+    if text:
+        if not any(given):
+            return None
+    elif given == (True, True, True, False):
+        return PathParams(args.m, args.l, args.k)
+    elif given == (True, False, False, True):
+        return _full_path(args.m, args.n)
+    raise ValueError(message)
+
+
 def _resolve_ideal(args) -> MonomialIdeal:
-    if args.ideal:
-        return ideal_from_text(args.ideal)
-    if args.m is None:
-        raise ValueError("one of --ideal or --m is required")
-    if args.l is not None and args.k is not None:
-        return make_path_ideal(PathParams(args.m, args.l, args.k))
-    if args.n is not None:
-        return make_full_path_ideal(args.m, args.n)
-    raise ValueError("give --l and --k for the general family, or --n for all paths")
-
-
-def _params(args, message: str) -> PathParams:
-    """The family member of ``--m --l --k``; ``message`` names the selections
-    the subcommand accepts, when one of the three is missing."""
-    if args.m is None or args.l is None or args.k is None:
-        raise ValueError(message)
-    return PathParams(args.m, args.l, args.k)
+    """The ideal of ``--ideal`` or of the family flags, for ``gen`` and ``betti``."""
+    if args.ideal or args.m is None:
+        message = "one of --ideal or --m is required"
+    else:
+        message = "give --l and --k for the general family, or --n for all paths"
+    params = _params(args, message, args.ideal)
+    return ideal_from_text(args.ideal) if params is None else make_path_ideal(params)
 
 
 def _params_args(parser, with_n=True) -> None:
@@ -155,13 +153,12 @@ def cmd_betti(args) -> int:
 
 
 def cmd_formula(args) -> int:
-    if args.m is not None and args.l is None and args.n is not None:
-        result = formula_full_path(args.m, args.n)
+    params = _params(args, "give --m --l --k, or --m --n for all paths")
+    result = formula_result(params)
+    if args.n is not None:
         label = f"m={args.m},n={args.n} (all paths)"
         regime_info = {}
     else:
-        params = _params(args, "give --m --l --k, or --m --n for all paths")
-        result = formula_result(params)
         regime = classify(params)
         label = str(params)
         regime_info = {
@@ -213,15 +210,15 @@ def cmd_verify(args) -> int:
 
 def cmd_split(args) -> int:
     field = parse_field(args.field)
-    if args.ideal:
+    params = _params(args, "give --m --l --k (k >= 2), or --ideal with --var", args.ideal)
+    if params is None:
         ideal = ideal_from_text(args.ideal)
         if args.var is None:
             raise ValueError("--var is required with --ideal")
         var = args.var
+    elif params.k < 2:
+        raise ValueError("splitting at the last generator needs k >= 2")
     else:
-        params = _params(args, "give --m --l --k (k >= 2), or --ideal with --var")
-        if params.k < 2:
-            raise ValueError("splitting at the last generator needs k >= 2")
         ideal = make_path_ideal(params)
         var = params.n if args.var is None else args.var
     fht = fht_condition(ideal, var, field)
@@ -261,10 +258,11 @@ def cmd_split(args) -> int:
 
 def cmd_cert(args) -> int:
     field = parse_field(args.field)
-    if args.clutter:
+    params = _params(args, "give --m --l --k or --clutter", args.clutter)
+    if params is None:
         clutter = clutter_from_text(args.clutter)
     else:
-        clutter = clutter_of(make_path_ideal(_params(args, "give --m --l --k or --clutter")))
+        clutter = clutter_of(make_path_ideal(params))
 
     payload: dict = {"clutter": str(clutter)}
     try:
@@ -333,7 +331,7 @@ def cmd_open_problem(args) -> int:
         cap_n=args.cap_n, cap_cells=args.cap_cells,
     )
     if args.json:
-        _emit(open_problem_to_json(records), args.out)
+        _emit(report_to_json({"records": records}), args.out)
     elif args.csv:
         _emit(records_to_csv(records, OPEN_PROBLEM_COLUMNS), args.out)
     else:

@@ -337,9 +337,7 @@ class FaceIndex:
         return sorted((v for v in range(self.n) if holding[v]), key=lambda v: -holding[v].bit_count())
 
 
-def reduced_homology_dims(
-    cx: SimplicialComplex, field: FieldSpec, cap: int = SUBSET_CAP_N
-) -> dict[int, int]:
+def reduced_homology_dims(cx: SimplicialComplex, field: FieldSpec) -> dict[int, int]:
     """Reduced homology of a complex given by facets: a map face dimension
     -> dim of reduced homology, for dimensions -1 up to the complex's
     dimension.
@@ -351,8 +349,9 @@ def reduced_homology_dims(
     """
     if cx.is_void:
         return {}
-    if cx.vertices.bit_count() > cap:
-        raise CapExceeded(f"complex has {cx.vertices.bit_count()} vertices, cap is {cap}")
+    size = cx.vertices.bit_count()
+    if size > SUBSET_CAP_N:
+        raise CapExceeded(f"complex has {size} vertices, cap is {SUBSET_CAP_N}")
     index = FaceIndex(cx.faces())
     every = (1 << len(index.faces)) - 1
     return {g - 1: h for g, h in enumerate(index.homology(every, field))}

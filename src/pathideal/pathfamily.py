@@ -119,18 +119,24 @@ def make_path_ideal(params: PathParams) -> MonomialIdeal:
     return minimalize(params.n, gens)
 
 
-def make_full_path_ideal(m: int, n: int) -> MonomialIdeal:
-    """The ideal of all n-m+1 paths of length m in the line graph on n
-    vertices: the family member l = m-1, k = n-m+1."""
+def _full_path(m: int, n: int) -> PathParams:
+    """The family member l = m-1, k = n-m+1 of all length-m paths of the
+    line graph on n vertices."""
     if m < 2:
         raise ValueError(f"path length m={m} must be >= 2")
     if m > n:
         raise ValueError(f"path length m={m} exceeds vertex count n={n}")
-    return make_path_ideal(PathParams(m, m - 1, n - m + 1))
+    return PathParams(m, m - 1, n - m + 1)
 
 
-# formula_pd and formula_reg read p and d unchecked in the large-overlap branches:
-# classify fills both there, and a None would raise TypeError anyway.
+def make_full_path_ideal(m: int, n: int) -> MonomialIdeal:
+    """The ideal of all n-m+1 paths of length m in the line graph on n vertices."""
+    return make_path_ideal(_full_path(m, n))
+
+
+# formula_pd, formula_reg and formula_depth read p, d and period unchecked in the
+# large-overlap branches: classify fills them there, and a None would raise
+# TypeError anyway.
 def formula_pd(params: PathParams) -> int:
     """Closed-form projective dimension of the ideal."""
     regime = classify(params)
@@ -157,14 +163,12 @@ def formula_reg(params: PathParams) -> Optional[int]:
 
 def formula_depth(params: PathParams) -> int:
     """Closed-form depth of the ideal as a module (one more than depth of R/I)."""
-    m, l, k, n = params.m, params.l, params.k, params.n
+    n = params.n
     regime = classify(params)
     if regime.branch is Branch.SMALL_OVERLAP:
-        return n - k + 1
-    if regime.branch is Branch.EXACT_STEP:
-        num, den = n + (m - l), 2 * m - l
-    else:
-        num, den = n + m - l - regime.s, 2 * m - l - regime.s
+        return n - params.k + 1
+    # s = 0 in the exact-step regime, so one expression serves both branches
+    num, den = n + params.m - params.l - regime.s, regime.period
     return n + 2 - -(-num // den) - num // den  # ceil and floor of num / den
 
 
@@ -181,6 +185,4 @@ def formula_full_path(m: int, n: int) -> FormulaResult:
     Its step m-l = 1 divides m, so it lies in the exact-step regime with
     period 2m-l = m+1: the classical decomposition n = p(m+1) + d.
     """
-    if m < 2 or m > n:
-        raise ValueError(f"need 2 <= m <= n, got m={m}, n={n}")
-    return formula_result(PathParams(m, m - 1, n - m + 1))
+    return formula_result(_full_path(m, n))

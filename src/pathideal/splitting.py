@@ -59,13 +59,10 @@ class DisjointReport:
     pd_sum: tuple[int, int]       # (computed, predicted)
     reg_sum: tuple[int, int]
     reg_product: tuple[int, int]
-    ok_pd_sum: bool
-    ok_reg_sum: bool
-    ok_reg_product: bool
 
     @property
     def ok(self) -> bool:
-        return self.ok_pd_sum and self.ok_reg_sum and self.ok_reg_product
+        return all(got == want for got, want in (self.pd_sum, self.reg_sum, self.reg_product))
 
 
 def _is_linear(ideal: MonomialIdeal, table: Callable[[], BettiTable]) -> bool:
@@ -157,14 +154,8 @@ def verify_disjoint_identities(
     inv_j = invariants_of(betti_table(J, field))
     inv_sum = invariants_of(betti_table(ideal_sum(I, J), field))
     inv_prod = invariants_of(betti_table(ideal_product_disjoint(I, J), field))
-    pd_sum = (inv_sum.pd, inv_i.pd + inv_j.pd + 1)
-    reg_sum = (inv_sum.reg, inv_i.reg + inv_j.reg - 1)
-    reg_prod = (inv_prod.reg, inv_i.reg + inv_j.reg)
     return DisjointReport(
-        pd_sum=pd_sum,
-        reg_sum=reg_sum,
-        reg_product=reg_prod,
-        ok_pd_sum=pd_sum[0] == pd_sum[1],
-        ok_reg_sum=reg_sum[0] == reg_sum[1],
-        ok_reg_product=reg_prod[0] == reg_prod[1],
+        pd_sum=(inv_sum.pd, inv_i.pd + inv_j.pd + 1),
+        reg_sum=(inv_sum.reg, inv_i.reg + inv_j.reg - 1),
+        reg_product=(inv_prod.reg, inv_i.reg + inv_j.reg),
     )

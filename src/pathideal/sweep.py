@@ -6,9 +6,9 @@ three match flags.  An unknown formula value (regularity in the offset-step
 regime) never counts as a mismatch.  Instances beyond the feasibility caps
 are recorded as skipped with a reason, never dropped.
 
-Reports are deterministic: records are sorted by parameters and timing is
-zeroed unless explicitly requested, so identical flags give byte-identical
-output.
+Reports are deterministic: records come in the grid's (m, l, k) order, and
+timing is zeroed unless explicitly requested, so identical flags give
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -174,7 +174,6 @@ def run_sweep(
             records = list(pool.map(evaluate, grid))
     else:
         records = list(map(evaluate, grid))
-    records.sort(key=lambda r: (r["m"], r["l"], r["k"]))
     _report_skips(records)
     mismatches = [r for r in records if record_is_mismatch(r)]
     summary = {
@@ -274,7 +273,12 @@ def _pair(formula, oracle) -> str:
 
 
 def report_to_text(report: dict) -> str:
+    """The sweep report as a table.  A timed sweep's records hold their
+    milliseconds as floats (untimed ones the int 0), and its ok rows end in a
+    ``millis`` column."""
+    timed = any(isinstance(r["millis"], float) for r in report["records"])
     header = f"{'params':<16} {'regime':<14} {'pd':>7} {'reg':>9} {'depth':>9}  flags"
+    header += "  millis" if timed else ""
     rows = []
     for r in report["records"]:
         lead = f"{_label(r):<16} {r['regime']:<14}"
@@ -285,7 +289,8 @@ def report_to_text(report: dict) -> str:
         rows.append(
             f"{lead} {_pair(r['pd_formula'], r['pd_oracle']):>7} "
             f"{_pair(r['reg_formula'], r['reg_oracle']):>9} "
-            f"{_pair(r['depth_formula'], r['depth_oracle']):>9}  {flags}"
+            f"{_pair(r['depth_formula'], r['depth_oracle']):>9}  "
+            + (f"{flags:<5}  {r['millis']:>6.3f}" if timed else flags)
         )
     s = report["summary"]
     rows.append(
@@ -295,10 +300,6 @@ def report_to_text(report: dict) -> str:
     if s["mismatch_params"]:
         rows.append("mismatching: " + ", ".join(s["mismatch_params"]))
     return _text_table(f"sweep over {report['field']} (method={report['method']})", header, rows)
-
-
-def open_problem_to_json(records: list[dict]) -> str:
-    return report_to_json({"records": records})
 
 
 def open_problem_to_text(records: list[dict]) -> str:

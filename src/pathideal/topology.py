@@ -172,14 +172,14 @@ def minimal_vertex_covers(clutter: Clutter, cap: int = SUBSET_CAP_N) -> tuple[in
     return tuple(_canonical_sorted(covers))
 
 
-def cover_complex(clutter: Clutter, cap: int = SUBSET_CAP_N) -> SimplicialComplex:
+def cover_complex(clutter: Clutter) -> SimplicialComplex:
     """The complex whose facets are the complements of the minimal covers.
 
     The minimal covers are an antichain, and so are their complements, so
     they need no minimalizing; ``SimplicialComplex`` still checks them.
     """
     full = (1 << clutter.n) - 1
-    facets = [full & ~c for c in minimal_vertex_covers(clutter, cap)]
+    facets = [full & ~c for c in minimal_vertex_covers(clutter)]
     return SimplicialComplex(clutter.n, tuple(_canonical_sorted(facets)))
 
 

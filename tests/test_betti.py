@@ -1,6 +1,7 @@
 """Betti tables: spec examples, the two-route equivalence, field behaviour."""
 
 import random
+import re
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -584,6 +585,29 @@ def test_generator_row_matches_degree_histogram():
             j: b for (i, j), b in betti_taylor_tor(ideal, GF2).entries.items() if i == 0
         }
         assert row == ideal.degree_histogram()
+
+
+def test_a_table_whose_generator_row_is_wrong_raises(monkeypatch):
+    ideal = ideal_from_text("n=3; (x1*x2, x2*x3)")
+    assert betti_interval(ideal) == table({(0, 2): 2, (1, 3): 1})
+    # the interval memo hands back the table with one generator a degree up
+    moved = {(0, 2): 1, (0, 3): 1, (1, 3): 1}
+    monkeypatch.setattr(pathideal.betti._INTERVAL_MEMO, "table", lambda key: moved)
+    message = "column 0 of the table {2: 1, 3: 1} does not match generator degrees {2: 2}"
+    with pytest.raises(RuntimeError, match=re.escape(message)):
+        betti_interval(ideal)
+
+
+def test_routes_that_disagree_raise_under_both(monkeypatch):
+    ideal = ideal_from_text("n=3; (x1*x2, x2*x3)")
+    via_homology = betti_hochster(ideal, GF2)
+    # the strand route's table with its one syzygy a degree up
+    moved = table({(0, 2): 2, (1, 4): 1})
+    monkeypatch.setattr(pathideal.betti, "betti_taylor_tor", lambda *args, **kwargs: moved)
+    message = (f"the two Betti routes disagree on {ideal} over {GF2}: "
+               f"{via_homology.digest()} vs {moved.digest()}")
+    with pytest.raises(RuntimeError, match=re.escape(message)):
+        betti_table(ideal, GF2, "both")
 
 
 def projective_plane_ideal():

@@ -182,6 +182,26 @@ def test_verify_timing_records_milliseconds(capsys):
     assert all(m == round(m, 3) for m in millis)
 
 
+def test_verify_text_shows_times_only_under_timing(capsys):
+    args = ("verify", "--m-max", "2", "--n-max", "8", "--method", "taylor", "--cap-cells", "8")
+    code, plain, _ = run(capsys, *args)
+    assert code == 0 and "millis" not in plain
+    code, timed, _ = run(capsys, *args, "--timing")
+    plain, timed = plain.splitlines(), timed.splitlines()
+    assert code == 0 and len(timed) == len(plain)
+    assert timed[0] == plain[0] and timed[1] == plain[1] + "  millis"
+    assert timed[2] == "-" * len(timed[1])
+    ok_rows = 0
+    for before, after in zip(plain[3:], timed[3:]):
+        if "skipped" in before or before.startswith("instances="):
+            assert after == before
+            continue
+        ok_rows += 1
+        head, millis = after.rsplit(None, 1)
+        assert head == before and float(millis) > 0 and millis == f"{float(millis):.3f}"
+    assert ok_rows == 3
+
+
 def test_verify_records_a_cell_cap_refusal_as_skipped(capsys):
     args = ["verify", "--m-min", "2", "--m-max", "2", "--n-max", "8", "--method", "taylor", "--json"]
     code, out, err = run(capsys, *args, "--cap-cells", "8")
@@ -460,6 +480,27 @@ def test_invalid_arguments_exit_two(capsys):
     (["split", "--m", "3"], "give --m --l --k (k >= 2), or --ideal with --var"),
     (["split", "--m", "3", "--l", "1", "--k", "1"], "splitting at the last generator needs k >= 2"),
     (["cert"], "give --m --l --k or --clutter"),
+    # a mix of selections that would drop a flag the user gave
+    (["gen", "--m", "3", "--k", "2", "--n", "8"],
+     "give --l and --k for the general family, or --n for all paths"),
+    (["gen", "--m", "3", "--l", "1", "--k", "2", "--n", "99"],
+     "give --l and --k for the general family, or --n for all paths"),
+    (["gen", "--ideal", "n=3; (x1*x2, x2*x3)", "--m", "2", "--n", "3"],
+     "one of --ideal or --m is required"),
+    (["betti", "--m", "3", "--l", "1", "--n", "8"],
+     "give --l and --k for the general family, or --n for all paths"),
+    (["betti", "--ideal", "n=3; (x1*x2, x2*x3)", "--m", "3", "--l", "1", "--k", "2"],
+     "one of --ideal or --m is required"),
+    (["formula", "--m", "3", "--l", "1", "--n", "8"], "give --m --l --k, or --m --n for all paths"),
+    (["formula", "--m", "3", "--l", "1", "--k", "2", "--n", "99"],
+     "give --m --l --k, or --m --n for all paths"),
+    (["split", "--ideal", "n=3; (x1*x2, x2*x3)", "--var", "2", "--m", "3"],
+     "give --m --l --k (k >= 2), or --ideal with --var"),
+    (["cert", "--clutter", "n=3; {1,2},{2,3}", "--m", "3", "--l", "1", "--k", "2"],
+     "give --m --l --k or --clutter"),
+    # an all-paths member out of range, refused as make_full_path_ideal refuses it
+    (["formula", "--m", "1", "--n", "8"], "path length m=1 must be >= 2"),
+    (["formula", "--m", "9", "--n", "8"], "path length m=9 exceeds vertex count n=8"),
 ])
 def test_missing_or_inconsistent_selection_exits_two(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")

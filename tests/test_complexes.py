@@ -94,7 +94,7 @@ def test_projective_plane_depends_on_characteristic():
 def test_homology_cap_enforced():
     too_big = cx(17, list(range(1, 18)))
     with pytest.raises(CapExceeded):
-        reduced_homology_dims(too_big, GF2, cap=16)
+        reduced_homology_dims(too_big, GF2)
 
 
 def test_boundary_composition_is_zero():

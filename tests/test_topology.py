@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -242,6 +243,17 @@ def test_shelling_cap():
     edges = SimplicialComplex.from_faces(26, [0b11 << 2 * i for i in range(13)])
     with pytest.raises(CapExceeded):
         find_shelling(edges, cap=12)
+
+
+def test_a_search_result_that_does_not_shell_raises(monkeypatch):
+    cx = cover_complex(PATH_L4)
+    order = list(find_shelling(cx))
+    # the check refuses every order, the canonical one first, so the search
+    # runs, finds the same order and must not return it
+    monkeypatch.setattr(topology, "is_shelling", lambda facets: False)
+    message = f"the search returned a non-shelling order {order}"
+    with pytest.raises(RuntimeError, match=re.escape(message)):
+        find_shelling(cx)
 
 
 @st.composite
