@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -412,6 +413,27 @@ def test_report_matches_its_golden_byte_for_byte(capsys, golden, code, argv):
     assert out.encode() == (GOLDEN_DIR / golden).read_bytes()
     stderr = GOLDEN_DIR / (Path(golden).stem + ".stderr")
     assert err.encode() == (stderr.read_bytes() if stderr.exists() else b"")
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["verify", "--m-max", "12", "--n-max", "60", "--json"],
+            "7c0c9617a5918463dfd08240984647092405e5bd6f3d585168e8c93d12822095",
+        ),
+        (
+            ["open-problem", "--n-max", "16", "--json"],
+            "41ce9a901abfb8c0412126d5faf3cdd99185f30e472340da074f4f85d0a64136",
+        ),
+    ],
+)
+def test_wide_sweep_report_matches_its_pinned_digest(capsys, argv, digest):
+    """Grids that reach all three regimes at larger k than the goldens do,
+    pinned by the sha256 of the report (918 kB for the verify sweep)."""
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_cert_counterexample_survives_optimized_mode():
