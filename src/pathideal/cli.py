@@ -11,6 +11,7 @@ failure, 2 on invalid arguments.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -343,8 +344,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pathideal",
         description="Path ideals of the line graph: exact Betti tables and closed forms.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # no option is read from a prefix: `verify --n 6` must not run as `--n-max 6`
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
     # each subcommand takes only the options it reads
     output = argparse.ArgumentParser(add_help=False)
@@ -358,23 +362,23 @@ def build_parser() -> argparse.ArgumentParser:
     tables.add_argument("--cap-n", type=int, default=SUBSET_CAP_N, dest="cap_n")
     tables.add_argument("--cap-cells", type=int, default=STRAND_CAP_CELLS, dest="cap_cells")
 
-    p_gen = sub.add_parser("gen", parents=[output], help="emit an ideal")
+    p_gen = add_parser("gen", parents=[output], help="emit an ideal")
     _params_args(p_gen)
     p_gen.add_argument("--ideal", help="ideal text form (echoed canonically)")
     p_gen.set_defaults(func=cmd_gen)
 
-    p_betti = sub.add_parser("betti", parents=[output, field, tables], help="one Betti table")
+    p_betti = add_parser("betti", parents=[output, field, tables], help="one Betti table")
     _params_args(p_betti)
     p_betti.add_argument("--ideal", help="ideal text form, e.g. 'n=5; (x1*x2*x3, x3*x4*x5)'")
     p_betti.add_argument("--golden", action="store_true", help="golden-file text format")
     p_betti.set_defaults(func=cmd_betti)
 
-    p_formula = sub.add_parser("formula", parents=[output], help="closed forms only")
+    p_formula = add_parser("formula", parents=[output], help="closed forms only")
     _params_args(p_formula)
     p_formula.set_defaults(func=cmd_formula)
 
-    p_verify = sub.add_parser("verify", parents=[output, field, tables],
-                              help="formula-vs-oracle sweep")
+    p_verify = add_parser("verify", parents=[output, field, tables],
+                          help="formula-vs-oracle sweep")
     p_verify.add_argument("--m-min", type=int, default=2, dest="m_min")
     p_verify.add_argument("--m-max", type=int, default=5, dest="m_max")
     p_verify.add_argument("--n-max", type=int, default=13, dest="n_max")
@@ -388,15 +392,15 @@ def build_parser() -> argparse.ArgumentParser:
                                "(breaks byte-identical output)")
     p_verify.set_defaults(func=cmd_verify)
 
-    p_split = sub.add_parser("split", parents=[output, field], help="Betti-splitting check")
+    p_split = add_parser("split", parents=[output, field], help="Betti-splitting check")
     _params_args(p_split, with_n=False)
     p_split.add_argument("--ideal", help="ideal text form")
     p_split.add_argument("--var", type=int,
                          help="split at this variable (default: last variable)")
     p_split.set_defaults(func=cmd_split)
 
-    p_cert = sub.add_parser("cert", parents=[output, field],
-                            help="free vertex / shelling / sequential-CM certificates")
+    p_cert = add_parser("cert", parents=[output, field],
+                        help="free vertex / shelling / sequential-CM certificates")
     _params_args(p_cert, with_n=False)
     p_cert.add_argument("--clutter", help="clutter text form, e.g. 'n=5; {1,2,3},{3,4,5}'")
     p_cert.add_argument("--cap-minors", type=int, default=MINOR_CAP_N, dest="cap_minors")
@@ -405,8 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--cap-seqcm", type=int, default=SEQ_CM_CAP_N, dest="cap_seqcm")
     p_cert.set_defaults(func=cmd_cert)
 
-    p_open = sub.add_parser("open-problem", parents=[output, field, tables],
-                            help="regularity data in the regime without a closed form")
+    p_open = add_parser("open-problem", parents=[output, field, tables],
+                        help="regularity data in the regime without a closed form")
     p_open.add_argument("--n-max", type=int, default=13, dest="n_max")
     p_open.add_argument("--csv", action="store_true")
     p_open.set_defaults(func=cmd_open_problem)

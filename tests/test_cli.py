@@ -223,6 +223,18 @@ def test_verify_records_a_cell_cap_refusal_as_skipped(capsys):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--n", "6", "--m-max", "2"],  # was read as --n-max 6
+    ["open-problem", "--m", "3"],  # was read as --method 3
+])
+def test_an_option_prefix_is_not_read_as_a_longer_option(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    captured = capsys.readouterr()
+    assert info.value.code == 2 and captured.out == ""
+    assert f"unrecognized arguments: {' '.join(argv[1:3])}" in captured.err
+
+
 def test_split_command(capsys):
     code, out, _ = run(capsys, "split", "--m", "3", "--l", "1", "--k", "2", "--json")
     assert code == 0
