@@ -77,11 +77,14 @@ def _minimal_masks(masks: Iterable[int]) -> list[int]:
 
     Distinct masks of one size never lie inside each other (distinct
     squarefree monomials of one degree never divide each other), so a mask
-    is compared only with the kept masks of smaller size: a family of one
-    size costs one pass.
+    is compared only with the kept masks of smaller size, and a family of one
+    size is returned as soon as its duplicates are gone.
     """
+    unique = sorted(set(masks), key=int.bit_count)
+    if not unique or unique[0].bit_count() == unique[-1].bit_count():
+        return unique  # one size: an antichain as it stands
     kept: list[int] = []
-    for _, group in groupby(sorted(set(masks), key=int.bit_count), key=int.bit_count):
+    for _, group in groupby(unique, key=int.bit_count):
         # the new group is filtered against the kept masks of smaller size
         # before it joins them
         kept += [m for m in group if not any(h & m == h for h in kept)]

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .monomials import Monomial, MonomialIdeal, minimalize
+from .monomials import Monomial, MonomialIdeal
 
 
 class Branch(Enum):
@@ -112,11 +112,22 @@ def classify(params: PathParams) -> Regime:
 
 
 def make_path_ideal(params: PathParams) -> MonomialIdeal:
-    """Build the ideal with k interval generators overlapping in l indices."""
-    m, l, k = params.m, params.l, params.k
-    window = (1 << m) - 1
-    gens = [Monomial(window << ((i - 1) * (m - l))) for i in range(1, k + 1)]
-    return minimalize(params.n, gens)
+    """Build the ideal with k interval generators overlapping in l indices.
+
+    The generators are built in canonical form, so ``MonomialIdeal``'s
+    checks are their one verification.  Proof.  Generator i (from 0) is the
+    interval of the m indices from i(m-l)+1, and m-l >= 1, so the starts
+    increase strictly and the last interval ends at (k-1)(m-l)+m = n.  Two
+    intervals of one length with distinct starts are distinct sets of one
+    size, so neither holds the other: the generators are an antichain.  For
+    starts a < b the index lists [a, ..., a+m-1] and [b, ..., b+m-1] differ
+    first in their first entry, so the one with start a sorts first: the
+    tuple is in lexicographic order.
+    """
+    step, window = params.m - params.l, (1 << params.m) - 1
+    return MonomialIdeal(
+        params.n, tuple(Monomial(window << (i * step)) for i in range(params.k))
+    )
 
 
 def _full_path(m: int, n: int) -> PathParams:
@@ -134,12 +145,9 @@ def make_full_path_ideal(m: int, n: int) -> MonomialIdeal:
     return make_path_ideal(_full_path(m, n))
 
 
-# formula_pd, formula_reg and formula_depth read p, d and period unchecked in the
-# large-overlap branches: classify fills them there, and a None would raise
-# TypeError anyway.
-def formula_pd(params: PathParams) -> int:
-    """Closed-form projective dimension of the ideal."""
-    regime = classify(params)
+# _pd, _reg and _depth read p, d and period unchecked in the large-overlap
+# branches: classify fills them there, and a None would raise TypeError anyway.
+def _pd(params: PathParams, regime: Regime) -> int:
     if regime.branch is Branch.SMALL_OVERLAP:
         return params.k - 1
     return 2 * regime.p - 1 if regime.d != params.m else 2 * regime.p
@@ -150,9 +158,7 @@ def _small_overlap_reg(params: PathParams) -> int:
     return (params.k - 1) * (params.m - params.l - 1) + params.m
 
 
-def formula_reg(params: PathParams) -> Optional[int]:
-    """Closed-form regularity, or None in the offset-step regime."""
-    regime = classify(params)
+def _reg(params: PathParams, regime: Regime) -> Optional[int]:
     if regime.branch is Branch.SMALL_OVERLAP:
         return _small_overlap_reg(params)
     if regime.branch is Branch.OFFSET_STEP:
@@ -161,10 +167,8 @@ def formula_reg(params: PathParams) -> Optional[int]:
     return base + 1 if regime.d != params.m else base + params.m
 
 
-def formula_depth(params: PathParams) -> int:
-    """Closed-form depth of the ideal as a module (one more than depth of R/I)."""
+def _depth(params: PathParams, regime: Regime) -> int:
     n = params.n
-    regime = classify(params)
     if regime.branch is Branch.SMALL_OVERLAP:
         return n - params.k + 1
     # s = 0 in the exact-step regime, so one expression serves both branches
@@ -172,10 +176,28 @@ def formula_depth(params: PathParams) -> int:
     return n + 2 - -(-num // den) - num // den  # ceil and floor of num / den
 
 
+def formula_pd(params: PathParams) -> int:
+    """Closed-form projective dimension of the ideal."""
+    return _pd(params, classify(params))
+
+
+def formula_reg(params: PathParams) -> Optional[int]:
+    """Closed-form regularity, or None in the offset-step regime."""
+    return _reg(params, classify(params))
+
+
+def formula_depth(params: PathParams) -> int:
+    """Closed-form depth of the ideal as a module (one more than depth of R/I)."""
+    return _depth(params, classify(params))
+
+
 def formula_result(params: PathParams) -> FormulaResult:
-    pd = formula_pd(params)
-    depth = formula_depth(params)
-    return FormulaResult(pd=pd, reg=formula_reg(params), depth_I=depth, depth_RI=depth - 1)
+    """All closed forms of one member, from one classification."""
+    regime = classify(params)
+    depth = _depth(params, regime)
+    return FormulaResult(
+        pd=_pd(params, regime), reg=_reg(params, regime), depth_I=depth, depth_RI=depth - 1
+    )
 
 
 def formula_full_path(m: int, n: int) -> FormulaResult:

@@ -22,7 +22,7 @@ import sys
 import time
 from typing import Iterator, Optional
 
-from .betti import BettiTable, betti_table, depth_of, invariants_of
+from .betti import BettiTable, betti_table, invariants_of
 from .caps import STRAND_CAP_CELLS, SUBSET_CAP_N, CapExceeded
 from .fields import GF2, FieldSpec
 from .monomials import MonomialIdeal, ideal_to_text
@@ -126,14 +126,14 @@ def evaluate_instance(
         record["reason"] = reason
         return record
     inv = invariants_of(table)
-    depths = depth_of(ideal, table)
+    depth = ideal.n - inv.pd  # the depth of the ideal as a module, as depth_of reads it
     record["pd_oracle"] = inv.pd
     record["reg_oracle"] = inv.reg
-    record["depth_oracle"] = depths.depth_I
+    record["depth_oracle"] = depth
     record["betti_digest"] = table.digest()
     record["match_pd"] = inv.pd == formula.pd
     record["match_reg"] = None if formula.reg is None else inv.reg == formula.reg
-    record["match_depth"] = depths.depth_I == formula.depth_I
+    record["match_depth"] = depth == formula.depth_I
     if timing:
         record["millis"] = round((time.perf_counter() - started) * 1000, 3)
     return record

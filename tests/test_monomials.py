@@ -19,7 +19,7 @@ from pathideal.monomials import (
     monomial_from_text,
     monomial_to_text,
 )
-from pathideal.monomials import _canonical_sorted, _lex_key, _lex_less
+from pathideal.monomials import _canonical_sorted, _lex_key, _lex_less, _minimal_masks
 
 
 def mono(*indices):
@@ -91,6 +91,29 @@ def test_minimalize_matches_brute_force_antichain(family):
     got = minimalize(n, [Monomial(m) for m in masks])
     assert got.gen_masks() == tuple(expected)
     assert MonomialIdeal(n, got.gens) == got
+
+
+@st.composite
+def one_size_families(draw, n_max=10):
+    """Families of masks that all have one size, with repeats."""
+    n = draw(st.integers(1, n_max))
+    size = draw(st.integers(0, n))
+    subsets = st.sets(st.integers(0, n - 1), min_size=size, max_size=size)
+    masks = [sum(1 << v for v in vs) for vs in draw(st.lists(subsets, max_size=12))]
+    repeats = draw(st.lists(st.sampled_from(masks), max_size=4)) if masks else []
+    return n, masks + repeats
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.one_of(one_size_families(), mixed_degree_families()))
+@example((3, [0b011, 0b011]))  # one size, one mask repeated
+@example((3, [0b110, 0b010, 0b010]))  # two sizes, the smaller repeated
+def test_minimal_masks_is_the_pairwise_definition(family):
+    _, masks = family
+    expected = {m for m in masks if not any(h != m and h & m == h for h in masks)}
+    got = _minimal_masks(masks)
+    assert len(got) == len(set(got)) and set(got) == expected
+    assert [m.bit_count() for m in got] == sorted(m.bit_count() for m in got)
 
 
 def test_minimalize_rejects_oversized_generator():

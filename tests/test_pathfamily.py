@@ -2,7 +2,7 @@
 
 import pytest
 
-from pathideal.monomials import Monomial, ideal_from_text, minimalize
+from pathideal.monomials import Monomial, MonomialIdeal, ideal_from_text, minimalize
 from pathideal.pathfamily import (
     Branch,
     PathParams,
@@ -54,6 +54,26 @@ def test_generator_supports_are_shifted_intervals():
             assert g.vars == tuple(range(start, start + params.m))
         for a, b in zip(ideal.gens, ideal.gens[1:]):
             assert (a.mask & b.mask).bit_count() == params.l
+
+
+def test_direct_build_is_the_minimalized_family():
+    """The generators built in canonical form are the ones minimalize finds
+    from the raw intervals."""
+    for params in all_params(10, 60):
+        step = params.m - params.l
+        raw = [Monomial.from_vars(range(i * step + 1, i * step + params.m + 1))
+               for i in range(params.k)]
+        assert make_path_ideal(params) == minimalize(params.n, raw), params
+
+
+def test_constructor_refuses_path_generators_out_of_canonical_form():
+    for params in all_params(6, 20):
+        gens = make_path_ideal(params).gens
+        if params.k > 1:
+            with pytest.raises(ValueError, match="canonically sorted"):
+                MonomialIdeal(params.n, gens[::-1])
+        with pytest.raises(ValueError, match="canonically sorted"):
+            MonomialIdeal(params.n, gens + gens[-1:])
 
 
 def test_make_full_path_ideal_examples():
