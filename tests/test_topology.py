@@ -1,6 +1,8 @@
 """Clutters, covers, shellings, minors, free vertices, sequential CM."""
 
+import hashlib
 import itertools
+import json
 import random
 import re
 
@@ -10,11 +12,13 @@ from hypothesis import strategies as st
 
 import pathideal.fields
 from pathideal.caps import CapExceeded
+from pathideal.cli import main
 from pathideal import topology
 from pathideal.complexes import FaceIndex, SimplicialComplex
 from pathideal.fields import GF2, QQ, FieldSpec
 from pathideal.monomials import Monomial, ideal_from_text, iter_bits, minimalize
 from pathideal.pathfamily import PathParams, make_path_ideal
+from pathideal.sweep import iter_param_grid
 from pathideal.topology import (
     Clutter,
     apply_assignment,
@@ -866,3 +870,40 @@ def test_seq_cm_consistent_with_shellability_on_family():
         cx = cover_complex(clutter_of(make_path_ideal(params)))
         assert find_shelling(cx) is not None
         assert is_sequentially_cm(cx, GF2)
+
+
+# ---------------------------------------------------------------------------
+# the cert report
+# ---------------------------------------------------------------------------
+
+
+def cert_corpus():
+    """The argv of every ``cert --json`` run pinned below: each path-family
+    member with n <= 14, over GF(2) and QQ, and 60 seeded random clutters on
+    at most 9 vertices with edges of 2 to 4 vertices, over GF(2) and GF(3),
+    some of which fail, so that witnesses are pinned too."""
+    runs = [["cert", "--m", str(p.m), "--l", str(p.l), "--k", str(p.k), "--field", field, "--json"]
+            for p in iter_param_grid(2, 14, 14) for field in ("gf2", "rat")]
+    rng = random.Random(26)
+    for _ in range(60):
+        n = rng.randint(3, 9)
+        edges = [sorted(rng.sample(range(1, n + 1), rng.randint(2, min(4, n))))
+                 for _ in range(rng.randint(2, 6))]
+        text = f"n={n}; " + ",".join("{" + ",".join(map(str, e)) + "}" for e in edges)
+        runs += [["cert", "--clutter", text, "--field", field, "--json"] for field in ("gf2", "gf3")]
+    return runs
+
+
+def test_cert_reports_match_their_pinned_digest(capsys):
+    """One sha256 over the argv, exit code, stdout and stderr of each run of
+    the corpus, so that every verdict, witness, cover complex and shelling
+    order the reports print is pinned."""
+    digest = hashlib.sha256()
+    codes = []
+    for argv in cert_corpus():
+        code = main(argv)
+        captured = capsys.readouterr()
+        codes.append(code)
+        digest.update(json.dumps([argv, code, captured.out, captured.err]).encode() + b"\n")
+    assert len(codes) == 576 and codes.count(1) == 24 and codes.count(0) == 552
+    assert digest.hexdigest() == "fbbbfcb40b6128f4815c017d76573097a173f5bab76d2737eb545b5b185deebc"
