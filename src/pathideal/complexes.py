@@ -85,18 +85,24 @@ class SimplicialComplex:
 
     def faces(self) -> set[int]:
         """All faces, the empty face included (unless the complex is void)."""
-        out: set[int] = set()
-        for facet in self.facets:
-            # every sub-mask of the facet, from the facet itself down to 0
-            f = facet
-            while f:
-                out.add(f)
-                f = (f - 1) & facet
-            out.add(0)
-        return out
+        return _faces_of(self.facets)
 
     def __str__(self) -> str:
         return _family_to_text(self.n, self.facets)
+
+
+def _faces_of(facets: Iterable[int]) -> set[int]:
+    """Every sub-mask of the facets, the empty face included unless there
+    are no facets."""
+    out: set[int] = set()
+    for facet in facets:
+        # every sub-mask of the facet, from the facet itself down to 0
+        f = facet
+        while f:
+            out.add(f)
+            f = (f - 1) & facet
+        out.add(0)
+    return out
 
 
 # _BIT_CHARS[b]: translates each byte to the digit "0" or "1" of its bit b,

@@ -25,14 +25,16 @@ walk is run.  The length-2 path with k edges has k pieces, but other
 paths have exponentially many, so ``MINOR_CAP_N`` stays.
 
 Sequential Cohen-Macaulayness checks the pure skeletons of the complex at
-its facet sizes only, each through its own ``complexes.FaceIndex``, which
-orders that skeleton's apex vertices and builds the closed stars of the
-apexes its links pick, and no other (a pure complex is its own top
-skeleton, so its one index is the complex's).
-Each link is read off by restriction to the faces containing it and
-ranked relative to the closed star of an apex vertex, from the top size
-down with clearing (``FaceIndex.homology``), as the Hochster route ranks
-each induced subcomplex.
+its facet sizes only.  A skeleton of codimension one, whose faces of top
+size t lie in t + 1 vertices, is Cohen-Macaulay by a proof and is not
+ranked.  Each other checked skeleton gets its own ``complexes.FaceIndex``,
+which orders that skeleton's apex vertices and builds the closed stars of
+the apexes its links pick, and no other (a pure complex is its own top
+skeleton, so its one index is the complex's).  Each link is read off by
+restriction to the faces containing it and ranked relative to the closed
+star of an apex vertex, from the top size down with clearing
+(``FaceIndex.homology``), as the Hochster route ranks each induced
+subcomplex.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from .caps import (
     SUBSET_CAP_N,
     CapExceeded,
 )
-from .complexes import FaceIndex, SimplicialComplex
+from .complexes import FaceIndex, SimplicialComplex, _faces_of
 from .fields import FieldSpec
 from .monomials import (
     MonomialIdeal, _canonical_antichain, _canonical_sorted, _check_canonical, _family_to_text,
@@ -136,6 +138,12 @@ def minimal_vertex_covers(clutter: Clutter, cap: int = SUBSET_CAP_N) -> tuple[in
     emits T has S = T and is on that path.  So every minimal cover is
     emitted exactly once.
     """
+    return tuple(_canonical_sorted(_minimal_covers(clutter, cap)))
+
+
+def _minimal_covers(clutter: Clutter, cap: int) -> list[int]:
+    """The minimal covers of ``minimal_vertex_covers``, in the order the
+    search emits them, for callers that sort what they derive from them."""
     if not clutter.edges:
         raise ValueError("cover enumeration requires at least one edge")
     if clutter.n > cap:
@@ -154,9 +162,19 @@ def minimal_vertex_covers(clutter: Clutter, cap: int = SUBSET_CAP_N) -> tuple[in
         if not missed:
             covers.append(cover)
             return
-        edge = min(
-            (edges[i - 1] for i in iter_bits(missed)), key=lambda e: (e & cand).bit_count()
-        )
+        # the first missed edge with the fewest candidates; one with none
+        # ends the node, as it leaves nothing to try
+        fewest = clutter.n + 1
+        rest = missed
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            e = edges[low.bit_length() - 1]
+            count = (e & cand).bit_count()
+            if count < fewest:
+                edge, fewest = e, count
+                if not count:
+                    break
         choices = edge & cand
         cand &= ~choices
         while choices:
@@ -169,7 +187,7 @@ def minimal_vertex_covers(clutter: Clutter, cap: int = SUBSET_CAP_N) -> tuple[in
             cand |= bit
 
     search(0, [], (1 << clutter.n) - 1, (1 << len(edges)) - 1)
-    return tuple(_canonical_sorted(covers))
+    return covers
 
 
 def cover_complex(clutter: Clutter) -> SimplicialComplex:
@@ -179,7 +197,7 @@ def cover_complex(clutter: Clutter) -> SimplicialComplex:
     they need no minimalizing; ``SimplicialComplex`` still checks them.
     """
     full = (1 << clutter.n) - 1
-    facets = [full & ~c for c in minimal_vertex_covers(clutter)]
+    facets = [full & ~c for c in _minimal_covers(clutter, SUBSET_CAP_N)]
     return SimplicialComplex(clutter.n, tuple(_canonical_sorted(facets)))
 
 
@@ -401,10 +419,16 @@ def _minor_without_free_vertex(clutter: Clutter) -> Optional[tuple[int, int]]:
     """
     reached_from: dict[tuple[int, ...], tuple] = {}
     stack: list[tuple[int, ...]] = []
+    # the key of each component met so far, by its edges: many steps give
+    # the same components
+    keys: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def reach(parent: Optional[tuple[int, ...]], bit: int, value: int, step: list[int]) -> None:
         for index, part in enumerate(_components(step)):
-            key = _reduced(part)[0]
+            edges = tuple(part)
+            key = keys.get(edges)
+            if key is None:
+                key = keys[edges] = _reduced(part)[0]
             if key not in reached_from:
                 reached_from[key] = (parent, bit, value, index)
                 stack.append(key)
@@ -604,26 +628,46 @@ def is_sequentially_cm(
     when that of size t + 1 does.  By downward induction from the top size,
     itself a facet size, every size passes when the facet sizes do.
 
-    Each checked skeleton gets its own ``FaceIndex``, built from its faces
-    (those of size at most t of the facets of size at least t), which
-    serves every link in it; for a pure complex that is the complex's own
-    index, and no other index is built.  Each link is ranked relative to
-    the closed star of an apex vertex, with clearing (proved in
-    ``_links_acyclic_below_top``); the apexes are tried in the order of the
-    Hochster route, largest closed star in the skeleton first
-    (``FaceIndex.apexes`` of the skeleton's index), and only the stars of
-    the apexes picked are built.
+    Codimension one.  Let V be the union of the facets of size at least t,
+    the vertex set of Delta^[t].  When |V| = t + 1, Delta^[t] is Cohen-Macaulay over every field, and it
+    is not checked.  Proof, by induction on t, for a pure complex generated
+    by faces of size t inside a set V of t + 1 vertices.  Every face of size
+    t is V - {v} for some v of V.  If all t + 1 of them are faces, the
+    complex is the boundary of the simplex on V, a sphere, and the link of
+    each face is the boundary of the simplex on the rest of V, again a
+    sphere, with reduced homology only in its top dimension.  Otherwise some
+    V - {u} is not a face, so u lies in every face of size t, and the
+    complex is a cone with apex u over the link of u.  A cone is
+    Cohen-Macaulay iff its base is, and the link of u is generated by faces
+    of size t - 1 inside V - {u}, of t vertices: a complex of the same
+    kind.  The induction ends at t = 1, a set of points, which is
+    Cohen-Macaulay.
+
+    Each other checked skeleton gets its own ``FaceIndex``, built from its
+    faces (those of size at most t of the facets of size at least t, taken
+    straight from those facets), which serves every link in it; for a pure
+    complex that is the complex's own index, and no other index is built.
+    Each link is ranked relative to the closed star of an apex vertex, with
+    clearing (proved in ``_links_acyclic_below_top``); the apexes are tried
+    in the order of the Hochster route, largest closed star in the skeleton
+    first (``FaceIndex.apexes`` of the skeleton's index), and only the stars
+    of the apexes picked are built.
     """
     if cx.is_void:
         raise ValueError("void complex")
     if cx.vertices.bit_count() > cap:
         raise CapExceeded(f"{cx.vertices.bit_count()} vertices exceed cap {cap}")
     for t in sorted({f.bit_count() for f in cx.facets}):
-        if t >= 2:
-            # the facets of size at least t, a subsequence of a canonical
-            # antichain and so one itself
-            wide = SimplicialComplex(cx.n, tuple(f for f in cx.facets if f.bit_count() >= t))
-            skeleton = FaceIndex(f for f in wide.faces() if f.bit_count() <= t)
-            if not _links_acyclic_below_top(skeleton, t, field):
-                return False
+        if t < 2:
+            continue
+        # the facets of size at least t, and V, their vertices
+        wide = [f for f in cx.facets if f.bit_count() >= t]
+        vertices = 0
+        for facet in wide:
+            vertices |= facet
+        if vertices.bit_count() == t + 1:
+            continue  # codimension one: Cohen-Macaulay over every field
+        skeleton = FaceIndex(f for f in _faces_of(wide) if f.bit_count() <= t)
+        if not _links_acyclic_below_top(skeleton, t, field):
+            return False
     return True
