@@ -893,6 +893,10 @@ def test_seq_cm_builds_one_face_index_per_checked_skeleton(monkeypatch):
     # complex, with no index
     assert skipped >= 2 and any(not checked_sizes(cx) for cx in SEQ_CM_EXAMPLES)
     assert any(checked_sizes(cx) == [2] and cx.dim == 2 for cx in SEQ_CM_EXAMPLES)
+    # and a skeleton on t + 2 vertices, which is indexed
+    assert any(
+        len(set().union(*map(iter_bits, pure_skeleton(cx.faces(), t)))) == t + 2
+        for cx in SEQ_CM_EXAMPLES for t in checked_sizes(cx))
     assert nonpure >= 2 and any(
         {f.bit_count() for f in cx.facets} == {4, 2} for cx in SEQ_CM_EXAMPLES)
     assert any(
